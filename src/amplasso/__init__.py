@@ -13,8 +13,7 @@ The library is organized bottom-up:
 """
 
 from ._version import __version__
-from .amp import (AmpDiagnostics, AmpState, active_set, amp_step, initial_state,
-                  run_amp, subgradient_residual, write_diagnostics_csv)
+from .amp import AmpDiagnostics, AmpState, run_amp, write_diagnostics_csv
 from .errors import AmplassoError, ConsistencyError, ConvergenceError, DivergenceError
 from .experiments import (ExperimentConfig, ExperimentRecord, MinimumLambdaResult,
                           dump_se_curves, minimum_lambda, run_cell, run_sweep,
@@ -41,8 +40,7 @@ __all__ = [
     "Instance", "generate", "singular_edge_check", "empirical_observable",
     "save_instance", "load_instance",
     "LassoSolution", "solve_lasso", "lasso_cost", "kkt_residual", "spectral_norm",
-    "AmpState", "AmpDiagnostics", "initial_state", "amp_step", "run_amp",
-    "subgradient_residual", "active_set", "write_diagnostics_csv",
+    "AmpState", "AmpDiagnostics", "run_amp", "write_diagnostics_csv",
     "ExperimentConfig", "ExperimentRecord", "MinimumLambdaResult", "run_cell",
     "run_sweep", "write_records_csv", "dump_se_curves", "minimum_lambda",
 ]

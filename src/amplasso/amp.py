@@ -143,13 +143,17 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
     final iterate only).
 
     If active_mask_sink is a dict it receives {t: boolean mask} of the
-    near-boundary set at every iteration.
+    near-boundary set at every iteration: the coordinates whose boundary
+    value |(pre - x)/theta| is at least 1 - gamma, for gamma in (0, 1). The
+    value is exactly 1 on the support, so the set always contains it.
 
     Returns:
         (final AmpState, list of AmpDiagnostics, one entry per step).
     """
     if threshold_policy not in ("se", "residual"):
         raise ValueError(f"unknown threshold policy {threshold_policy!r}")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must be in (0,1), got {gamma}")
     A, y, x0 = instance.A, instance.y, instance.x0
     n, N = A.shape
     alpha = invert_calibration(params, lam)
@@ -206,43 +210,3 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
         sg = pending["lam_v"] - (atz - pending["onsager"] * pending["atz_prev"])
         diagnostics[-1].subgradient_norm = float(np.linalg.norm(sg)) / math.sqrt(N)
     return state, diagnostics
-
-
-def subgradient_residual(state, prev_state, A, y, lam, theta_prev):
-    """N^{-1/2} times the norm of the certificate lam*s - A^T(y - A x) at x = state.x.
-
-    s has sign(x_i) on the support and (A^T z_prev + x_prev)_i / theta_prev
-    off it; both cases equal (pre - x)/theta_prev, whose entries lie in
-    [-1, 1] for consecutive iterates.
-
-    Raises:
-        ConsistencyError: an entry of s exceeds 1 in magnitude (broken pair),
-            or s disagrees with the support signs.
-    """
-    if prev_state.t + 1 != state.t:
-        raise ValueError(f"states are not consecutive: t={prev_state.t} then t={state.t}")
-    N = state.x.shape[0]
-    pre = state.pre if state.pre is not None else A.T @ prev_state.z + prev_state.x
-    s = _boundary_coords(pre, state.x, theta_prev)
-    on = state.x != 0.0
-    if on.any() and np.max(np.abs(s[on] - np.sign(state.x[on]))) > 1e-6:
-        raise ConsistencyError("subgradient does not match support signs")
-    sg = lam * s - A.T @ (y - A @ state.x)
-    return float(np.linalg.norm(sg)) / math.sqrt(N)
-
-
-def active_set(state, prev_state, theta_prev, gamma):
-    """Indices whose boundary coordinate |(pre - x)/theta_prev| is >= 1 - gamma.
-
-    This is the stabilizing candidate-support set; on the support the
-    coordinate is exactly +-1, so the set always contains the support.
-    Returns a sorted index array.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0,1), got {gamma}")
-    if prev_state.t + 1 != state.t:
-        raise ValueError(f"states are not consecutive: t={prev_state.t} then t={state.t}")
-    if state.pre is None:
-        raise ValueError("state does not carry its pre-threshold vector")
-    v = _boundary_coords(state.pre, state.x, theta_prev)
-    return np.flatnonzero(np.abs(v) >= 1.0 - gamma)

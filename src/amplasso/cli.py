@@ -22,7 +22,6 @@ from ._version import __version__
 from .experiments import (ExperimentConfig, dump_se_curves, minimum_lambda,
                           run_sweep, write_curve_tables, write_records_csv)
 from .instances import generate, load_instance, singular_edge_check
-from .scalars import Prior, get_preset
 from .state_evolution import SEParams
 
 _EXIT_OK = 0
@@ -35,23 +34,12 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _prior_from_obj(obj):
-    if isinstance(obj, str):
-        return get_preset(obj)
-    return Prior.from_json(obj)
-
-
-def _params_from_obj(obj):
-    return SEParams(delta=float(obj["delta"]), sigma2=float(obj["sigma2"]),
-                    prior=_prior_from_obj(obj["prior"]))
-
-
 def _cmd_sweep(args):
     raw = _load_json(args.config)
     config = ExperimentConfig.from_json(raw)
     out_dir = args.out or config.out
     os.makedirs(out_dir, exist_ok=True)
-    records = run_sweep(config, threads=args.threads, seed_base=args.seed_base)
+    records = run_sweep(config, seed_base=args.seed_base)
     csv_path = os.path.join(out_dir, "sweep.csv")
     write_records_csv(records, csv_path,
                       sidecar_path=os.path.join(out_dir, "sweep.json"),
@@ -71,7 +59,7 @@ def _cmd_sweep(args):
 
 def _cmd_se_curves(args):
     raw = _load_json(args.config)
-    params = _params_from_obj(raw)
+    params = SEParams.from_json(raw)
     alpha_grid = np.asarray(raw["alpha_grid"], dtype=float) if "alpha_grid" in raw else None
     tau2_grid = np.asarray(raw["tau2_grid"], dtype=float) if "tau2_grid" in raw else None
     f_map_alpha = float(raw.get("f_map_alpha", 2.0))
@@ -101,7 +89,7 @@ def _cmd_se_curves(args):
 
 def _cmd_min_lambda(args):
     raw = _load_json(args.config)
-    params = _params_from_obj(raw)
+    params = SEParams.from_json(raw)
     bracket = raw.get("lambda_bracket", [0.05, 2.0])
     result = minimum_lambda(params, bracket)
     print(f"lambda_opt = {result.lambda_opt:.6f}")
@@ -117,7 +105,7 @@ def _cmd_check_instance(args):
         delta = inst.delta
     else:
         raw = _load_json(args.config)
-        params = _params_from_obj(raw)
+        params = SEParams.from_json(raw)
         N = int(raw["N_list"][0]) if "N_list" in raw else 2000
         seeds = raw.get("seeds", [0])
         ensemble = raw.get("ensemble", "gaussian")
@@ -143,7 +131,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=False, help="JSON config path")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
     common.add_argument("--seed-base", type=int, default=0, help="offset added to every seed")
 
     p = sub.add_parser("sweep", parents=[common], help="run the full cell grid")

@@ -2,8 +2,9 @@
 
 A cell is one random instance: solve it with the reference solver, run the
 message-passing iteration on it, and record both empirical risks next to
-the theoretical prediction. Cells are independent, so the sweep is a plain
-worker pool; the prediction is computed once per lambda and shared.
+the theoretical prediction. Cells run one after another, each matrix product
+using every core through BLAS; the prediction is computed once per lambda
+and shared.
 """
 
 from __future__ import annotations
@@ -12,16 +13,16 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._version import __version__
 from .amp import run_amp
+from .errors import ConvergenceError
 from .instances import ENSEMBLES, empirical_observable, generate
 from .lasso import solve_lasso
-from .scalars import Prior, get_preset
+from .scalars import Prior
 from .state_evolution import SEParams, alpha_min, fixed_point, predicted_risk
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -45,14 +46,11 @@ class ExperimentConfig:
     lasso_max_iter: int = 50_000
     out: str = "results"
 
-    def validate(self):
-        if not (0 < self.delta):
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.sigma2 < 0:
-            raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
+    def __post_init__(self):
+        self.se_params  # delta, sigma2 and the prior are checked by SEParams
         if len(self.lambda_grid) == 0:
             raise ValueError("lambda_grid is empty")
-        if any(lam <= 0 for lam in self.lambda_grid):
+        if not all(lam > 0 for lam in self.lambda_grid):
             raise ValueError("lambda values must be positive")
         if len(self.N_list) == 0:
             raise ValueError("N_list is empty")
@@ -64,6 +62,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.amp_policy not in ("se", "residual"):
             raise ValueError(f"unknown amp_policy {self.amp_policy!r}")
+        if self.amp_t_max < 1:
+            raise ValueError(f"amp_t_max must be at least 1, got {self.amp_t_max}")
+        if self.lasso_max_iter < 1:
+            raise ValueError(f"lasso_max_iter must be at least 1, got {self.lasso_max_iter}")
+        if not self.lasso_tol > 0:
+            raise ValueError(f"lasso_tol must be positive, got {self.lasso_tol}")
 
     @property
     def se_params(self):
@@ -91,23 +95,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj):
-        prior = obj["prior"]
-        if isinstance(prior, str):
-            prior = get_preset(prior)
-        else:
-            prior = Prior.from_json(prior)
         kwargs = {k: v for k, v in obj.items() if k not in cls.AUX_KEYS}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(kwargs) - known)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs["prior"] = prior
+        params = SEParams.from_json(obj)
+        kwargs.update(delta=params.delta, sigma2=params.sigma2, prior=params.prior)
         kwargs["lambda_grid"] = tuple(float(v) for v in obj["lambda_grid"])
         kwargs["N_list"] = tuple(int(v) for v in obj["N_list"])
         kwargs["seeds"] = tuple(int(v) for v in obj["seeds"])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
 
 @dataclass
@@ -141,12 +139,20 @@ def run_cell(config, lam, N, seed, prediction, collect=None):
     `collect`, if given, is a dict that receives the heavyweight intermediates
     (instance, lasso solution, amp state and diagnostics) for callers that
     want more than the record.
+
+    Raises:
+        ConvergenceError: the reference solve stopped above its KKT tolerance,
+            so it is not ground truth for the cell.
     """
     t0 = time.perf_counter()
     inst = generate(config.se_params, N, config.ensemble, seed)
     t1 = time.perf_counter()
     sol = solve_lasso(inst.A, inst.y, lam, tol=config.lasso_tol,
                       max_iter=config.lasso_max_iter)
+    if not sol.converged:
+        raise ConvergenceError(
+            f"reference solve stopped at KKT residual {sol.kkt_residual:.3e} "
+            f"> {config.lasso_tol:g} after {sol.iterations} iterations")
     t2 = time.perf_counter()
     state, diag = run_amp(inst, config.se_params, lam,
                           t_max=config.amp_t_max, stop_tol=config.amp_stop_tol,
@@ -169,13 +175,12 @@ def run_cell(config, lam, N, seed, prediction, collect=None):
     )
 
 
-def run_sweep(config, threads=1, seed_base=0):
+def run_sweep(config, seed_base=0):
     """All cells of the config; failures become error-tagged records.
 
-    Deterministic given (config, seed_base): the result is sorted by
-    (lambda, N, seed) regardless of completion order.
+    Deterministic given (config, seed_base) apart from the wall times; the
+    result is sorted by (lambda, N, seed).
     """
-    config.validate()
     params = config.se_params
     predictions = {lam: predicted_risk(params, lam) for lam in config.lambda_grid}
     cells = [(lam, N, seed_base + seed)
@@ -198,11 +203,7 @@ def run_sweep(config, threads=1, seed_base=0):
                 wall_time_lasso=float("nan"), wall_time_amp=float("nan"),
                 error=f"{type(exc).__name__}: {exc}")
 
-    if threads <= 1:
-        records = [work(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(work, cells))
+    records = [work(c) for c in cells]
     records.sort(key=lambda r: (r.lam, r.N, r.seed))
     return records
 

@@ -140,6 +140,9 @@ def load_instance(path):
         body = fh.read()
     if not (0 <= code < len(ENSEMBLES)) or N <= 0 or n <= 0:
         raise ValueError("container header is not valid")
+    if not (0 < delta < np.inf and 0 < sigma2 < np.inf):
+        raise ValueError(f"container header has delta={delta}, sigma2={sigma2}; "
+                         "both must be finite and positive")
     expected = 8 * (n * N + N + n)
     if len(body) != expected:
         raise ValueError(f"container body has {len(body)} bytes, expected {expected}")

@@ -38,13 +38,8 @@ def lasso_cost(A, y, x, lam):
     return float(0.5 * np.dot(r, r) + lam * np.sum(np.abs(x)))
 
 
-def kkt_residual(A, y, x, lam):
-    """Maximum violation of the optimality conditions at x.
-
-    With g = A^T (y - A x): off the support, max(0, ||g||_inf - lambda);
-    on the support, max |g_i - lambda sign(x_i)|. Zero iff x is optimal.
-    """
-    g = A.T @ (y - A @ x)
+def _kkt_violation(g, x, lam):
+    """kkt_residual given g = A^T (y - A x), so a caller holding g needs no product."""
     on = x != 0.0
     worst = 0.0
     if (~on).any():
@@ -52,6 +47,15 @@ def kkt_residual(A, y, x, lam):
     if on.any():
         worst = max(worst, float(np.max(np.abs(g[on] - lam * np.sign(x[on])))))
     return max(worst, 0.0)
+
+
+def kkt_residual(A, y, x, lam):
+    """Maximum violation of the optimality conditions at x.
+
+    With g = A^T (y - A x): off the support, max(0, ||g||_inf - lambda);
+    on the support, max |g_i - lambda sign(x_i)|. Zero iff x is optimal.
+    """
+    return _kkt_violation(A.T @ (y - A @ x), x, lam)
 
 
 def spectral_norm(A, iters=_POWER_ITERS, tol=_POWER_TOL):
@@ -73,19 +77,19 @@ def spectral_norm(A, iters=_POWER_ITERS, tol=_POWER_TOL):
     return float(est)
 
 
-def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, accelerated=True):
+def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000):
     """Solve the penalized problem to a KKT residual below tol.
 
     Accelerated proximal gradient (momentum reset whenever the cost
-    increases) with step 1/sigma_max(A)^2; accelerated=False runs the plain
-    proximal-gradient iteration instead, kept as an independent
-    configuration for cross-checks. If max_iter is exhausted the best
-    iterate is returned with converged=False.
+    increases) with step 1/sigma_max(A)^2. If max_iter is exhausted the
+    last iterate is returned with converged=False.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     n, N = A.shape
@@ -100,14 +104,8 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, accelerated=True):
     Ax_prev = Ax
     tk = tk_prev = 1.0
     cost_prev = 0.5 * float(np.dot(y, y))
-    kkt = np.inf
-    it = 0
-    while it < max_iter:
-        it += 1
-        if accelerated:
-            beta = (tk_prev - 1.0) / tk
-        else:
-            beta = 0.0
+    for it in range(1, max_iter + 1):
+        beta = (tk_prev - 1.0) / tk
         # the gradient point is a linear combination of stored iterates, so
         # its image under A comes from cached products rather than a matvec
         v = x + beta * (x - x_prev)
@@ -117,27 +115,18 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, accelerated=True):
         Ax_new = A @ x_new
         r = y - Ax_new
         cost = 0.5 * float(np.dot(r, r)) + lam * float(np.sum(np.abs(x_new)))
-        if accelerated and cost > cost_prev:
+        if cost > cost_prev:
             tk = tk_prev = 1.0
         else:
             tk_prev, tk = tk, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         x_prev, x = x, x_new
         Ax_prev, Ax = Ax, Ax_new
         cost_prev = cost
+        # the loop always ends on a check: at convergence or at it == max_iter
         if it % _KKT_CHECK_EVERY == 0 or it == max_iter:
-            g0 = A.T @ r
-            on = x != 0.0
-            kkt = 0.0
-            if (~on).any():
-                kkt = max(kkt, float(np.max(np.abs(g0[~on]))) - lam)
-            if on.any():
-                kkt = max(kkt, float(np.max(np.abs(g0[on] - lam * np.sign(x[on])))))
-            kkt = max(kkt, 0.0)
+            kkt = _kkt_violation(A.T @ r, x, lam)
             if kkt <= tol:
                 break
-    if not np.isfinite(kkt) or (kkt > tol and it < max_iter):
-        # loop left without a final check (cannot happen, but keep honest)
-        kkt = kkt_residual(A, y, x, lam)
     return LassoSolution(
         x_hat=x,
         cost=lasso_cost(A, y, x, lam),

@@ -30,11 +30,6 @@ def gaussian_pdf(x):
     return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def gaussian_cdf(x):
-    """Standard Gaussian CDF Phi(x)."""
-    return ndtr(x)
-
-
 def soft_threshold(x, theta):
     """Soft thresholding: shrink x toward zero by theta with a dead zone.
 
@@ -115,6 +110,9 @@ class Prior:
 
     @classmethod
     def from_json(cls, obj):
+        """A preset name or an inline {"atoms": [...], "weights": [...]} object."""
+        if isinstance(obj, str):
+            return get_preset(obj)
         return cls(atoms=tuple(obj["atoms"]), weights=tuple(obj["weights"]))
 
 

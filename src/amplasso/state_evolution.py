@@ -47,6 +47,12 @@ class SEParams:
         if not isinstance(self.prior, Prior):
             raise ValueError("prior must be a Prior instance")
 
+    @classmethod
+    def from_json(cls, obj):
+        """From the delta, sigma2 and prior keys of a config object."""
+        return cls(delta=float(obj["delta"]), sigma2=float(obj["sigma2"]),
+                   prior=Prior.from_json(obj["prior"]))
+
     @property
     def tau2_init(self):
         """Starting point of the recursion: sigma^2 + E{X0^2}/delta."""
@@ -61,10 +67,6 @@ class SETrajectory:
     alpha: float
     converged: bool
     tau2_star: float
-
-    @property
-    def theta_sequence(self):
-        return [self.alpha * np.sqrt(t2) for t2 in self.tau2_sequence]
 
     @property
     def theta_star(self):

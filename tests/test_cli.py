@@ -73,6 +73,25 @@ def test_invalid_value(tmp_path):
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("patch", [
+    {"sigma2": 0.0}, {"amp_t_max": 0}, {"lasso_max_iter": 0}, {"lasso_tol": 0.0},
+])
+def test_invalid_value_rejected_before_output(tmp_path, patch):
+    cfg = small_config(tmp_path, **patch)
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_unconverged_reference_solve_exit_code(tmp_path):
+    cfg = small_config(tmp_path, lasso_max_iter=5)
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    side = json.loads((out / "sweep.json").read_text())
+    assert side["n_errors"] == 1
+    assert "ConvergenceError" in (out / "sweep.csv").read_text()
+
+
 def test_sweep_tolerates_other_subcommand_keys(tmp_path):
     # one config file is meant to be shared by all subcommands
     cfg = small_config(tmp_path, lambda_bracket=[0.1, 2.0], alpha_grid=[1.0, 2.0])

@@ -2,13 +2,15 @@
 
 import csv
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import amplasso.experiments as exps
-from amplasso.experiments import (CurveTables, ExperimentConfig, dump_se_curves,
+from amplasso.experiments import (CurveTables, ExperimentConfig, ExperimentRecord,
+                                  dump_se_curves,
                                   minimum_lambda, run_sweep, write_curve_tables,
                                   write_records_csv)
 from amplasso.scalars import Prior, get_preset
@@ -40,6 +42,8 @@ class TestConfig:
         {"lambda_grid": ()}, {"lambda_grid": (-0.5,)}, {"N_list": ()},
         {"N_list": (1,)}, {"seeds": ()}, {"ensemble": "toeplitz"},
         {"amp_policy": "adaptive"}, {"delta": 0.0}, {"sigma2": -1.0},
+        {"sigma2": 0.0}, {"delta": float("inf")}, {"amp_t_max": 0},
+        {"lasso_max_iter": 0}, {"lasso_tol": 0.0},
     ])
     def test_validation_rejects(self, patch):
         obj = SMALL.to_json()
@@ -64,10 +68,14 @@ class TestRunSweep:
         assert all(len(v) == 1 for v in by_lam.values())
 
     def test_deterministic(self):
-        a = run_sweep(SMALL)
-        b = run_sweep(SMALL)
-        assert [(r.lam, r.seed, r.mse_lasso, r.mse_amp) for r in a] == \
-               [(r.lam, r.seed, r.mse_lasso, r.mse_amp) for r in b]
+        names = [f.name for f in fields(ExperimentRecord)
+                 if not f.name.startswith("wall_time_")]
+        assert len(names) == len(fields(ExperimentRecord)) - 3
+
+        def values(records):
+            return [[getattr(r, name) for name in names] for r in records]
+
+        assert values(run_sweep(SMALL)) == values(run_sweep(SMALL))
 
     def test_seed_base_shifts_cells(self):
         plain = run_sweep(SMALL)
@@ -75,11 +83,12 @@ class TestRunSweep:
         assert [r.seed for r in shifted] == [r.seed + 100 for r in plain]
         assert plain[0].mse_lasso != shifted[0].mse_lasso
 
-    def test_threaded_matches_serial(self):
-        serial = run_sweep(SMALL)
-        threaded = run_sweep(SMALL, threads=3)
-        assert [(r.lam, r.seed, r.mse_lasso) for r in serial] == \
-               [(r.lam, r.seed, r.mse_lasso) for r in threaded]
+    def test_unconverged_reference_solve_is_an_error_row(self):
+        records = run_sweep(replace(SMALL, lasso_max_iter=5))
+        assert len(records) == 4
+        for r in records:
+            assert r.error.startswith("ConvergenceError: ")
+            assert np.isnan(r.mse_lasso) and np.isnan(r.kkt_residual)
 
     def test_cell_failure_is_isolated(self, monkeypatch):
         real = exps.solve_lasso

@@ -78,13 +78,6 @@ class TestOptimalityStructure:
                 other = sol.x_hat + scale * rng.normal(size=sol.x_hat.shape)
                 assert lasso_cost(A, y, other, lam) >= base - 1e-12
 
-    def test_accelerated_and_plain_agree(self):
-        A, y = small_instance(7)
-        fast = solve_lasso(A, y, 0.1, tol=1e-11, accelerated=True)
-        slow = solve_lasso(A, y, 0.1, tol=1e-11, accelerated=False)
-        assert np.max(np.abs(fast.x_hat - slow.x_hat)) < 1e-7
-        assert_allclose(fast.cost, slow.cost, rtol=1e-12)
-
     def test_iteration_cap_reported(self):
         A, y = small_instance(5)
         sol = solve_lasso(A, y, 0.05, tol=1e-14, max_iter=3)
@@ -110,3 +103,8 @@ class TestHelpers:
         A, y = small_instance(1)
         with pytest.raises(ValueError):
             solve_lasso(A, y, -0.5)
+
+    def test_invalid_max_iter(self):
+        A, y = small_instance(1)
+        with pytest.raises(ValueError):
+            solve_lasso(A, y, 0.1, max_iter=0)
