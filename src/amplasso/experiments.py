@@ -12,10 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from ._version import __version__
 from .amp import run_amp
@@ -25,7 +27,14 @@ from .lasso import solve_lasso
 from .scalars import Prior
 from .state_evolution import SEParams, alpha_min, fixed_point, predicted_risk
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# minimum_lambda: points of the coarse grid, and the Brent search's
+# absolute x tolerance as a fraction of max(1, lambda)
+_COARSE_POINTS = 17
+_SEARCH_REL_TOL = 1e-4
+
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.se_params  # delta, sigma2 and the prior are checked by SEParams
+        for name in ("amp_t_max", "lasso_max_iter"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("N_list", "seeds"):
+            if not all(_is_int(v) for v in getattr(self, name)):
+                raise ValueError(f"{name} entries must be integers, got {list(getattr(self, name))!r}")
+        for name in ("amp_stop_tol", "lasso_tol"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {v!r}")
         if len(self.lambda_grid) == 0:
             raise ValueError("lambda_grid is empty")
         if not all(lam > 0 for lam in self.lambda_grid):
@@ -103,8 +122,8 @@ class ExperimentConfig:
         params = SEParams.from_json(obj)
         kwargs.update(delta=params.delta, sigma2=params.sigma2, prior=params.prior)
         kwargs["lambda_grid"] = tuple(float(v) for v in obj["lambda_grid"])
-        kwargs["N_list"] = tuple(int(v) for v in obj["N_list"])
-        kwargs["seeds"] = tuple(int(v) for v in obj["seeds"])
+        kwargs["N_list"] = tuple(obj["N_list"])
+        kwargs["seeds"] = tuple(obj["seeds"])
         return cls(**kwargs)
 
 
@@ -300,12 +319,13 @@ class MinimumLambdaResult:
     unimodal: bool
 
 
-def minimum_lambda(params, lambda_bracket, rel_tol=1e-4, coarse_points=17):
+def minimum_lambda(params, lambda_bracket):
     """Penalty minimizing the predicted risk inside the bracket.
 
     Samples a coarse grid first; if the profile is not unimodal on it, the
     best grid point is returned with unimodal=False instead of trusting a
-    golden-section search that assumes unimodality.
+    bounded Brent search that assumes unimodality. Otherwise Brent's search
+    runs between the grid neighbours of the best grid point.
     """
     lo, hi = float(lambda_bracket[0]), float(lambda_bracket[1])
     if not (0 < lo <= hi):
@@ -317,7 +337,7 @@ def minimum_lambda(params, lambda_bracket, rel_tol=1e-4, coarse_points=17):
     if hi == lo:
         return MinimumLambdaResult(lo, risk(lo), True)
 
-    grid = np.linspace(lo, hi, coarse_points)
+    grid = np.linspace(lo, hi, _COARSE_POINTS)
     vals = [risk(float(l)) for l in grid]
     k = int(np.argmin(vals))
     diffs = np.sign(np.diff(vals))
@@ -326,18 +346,7 @@ def minimum_lambda(params, lambda_bracket, rel_tol=1e-4, coarse_points=17):
         return MinimumLambdaResult(float(grid[k]), vals[k], False)
 
     a = float(grid[max(k - 1, 0)])
-    b = float(grid[min(k + 1, coarse_points - 1)])
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = risk(c), risk(d)
-    while (b - a) > rel_tol * max(1.0, abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = risk(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = risk(d)
-    lam = 0.5 * (a + b)
-    return MinimumLambdaResult(lam, risk(lam), True)
+    b = float(grid[min(k + 1, _COARSE_POINTS - 1)])
+    res = minimize_scalar(risk, bounds=(a, b), method="bounded",
+                          options={"xatol": _SEARCH_REL_TOL * max(1.0, b)})
+    return MinimumLambdaResult(float(res.x), float(res.fun), True)

@@ -75,6 +75,7 @@ def test_invalid_value(tmp_path):
 
 @pytest.mark.parametrize("patch", [
     {"sigma2": 0.0}, {"amp_t_max": 0}, {"lasso_max_iter": 0}, {"lasso_tol": 0.0},
+    {"amp_t_max": "abc"}, {"amp_t_max": 2.5}, {"amp_stop_tol": "x"}, {"seeds": [1.5]},
 ])
 def test_invalid_value_rejected_before_output(tmp_path, patch):
     cfg = small_config(tmp_path, **patch)

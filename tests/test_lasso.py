@@ -91,6 +91,21 @@ class TestHelpers:
         rng = np.random.default_rng(2)
         A = rng.normal(size=(40, 60))
         assert_allclose(spectral_norm(A), np.linalg.svd(A, compute_uv=False)[0], rtol=1e-8)
+        # the shape of the README instances, where the step 1/sigma_max^2 must
+        # not exceed 1/L
+        A = rng.normal(size=(1280, 2000)) / np.sqrt(1280)
+        assert_allclose(spectral_norm(A), np.sqrt(np.linalg.eigvalsh(A @ A.T)[-1]), rtol=1e-12)
+        # rank one or zero: no Lanczos run
+        for A in (rng.normal(size=(1, 50)), rng.normal(size=(50, 1))):
+            assert_allclose(spectral_norm(A), np.linalg.svd(A, compute_uv=False)[0], rtol=1e-12)
+        assert spectral_norm(np.zeros((8, 10))) == 0.0
+
+    def test_single_row_problem(self):
+        rng = np.random.default_rng(4)
+        A, y = rng.normal(size=(1, 10)), rng.normal(size=1)
+        sol = solve_lasso(A, y, 0.05, tol=1e-10)
+        assert sol.converged
+        assert kkt_residual(A, y, sol.x_hat, 0.05) <= 1e-10
 
     def test_cost_dimension_check(self):
         A, y = small_instance(1)
