@@ -16,8 +16,7 @@ from ._version import __version__
 from .amp import AmpDiagnostics, AmpState, run_amp, write_diagnostics_csv
 from .errors import AmplassoError, ConsistencyError, ConvergenceError, DivergenceError
 from .experiments import (ExperimentConfig, ExperimentRecord, MinimumLambdaResult,
-                          dump_se_curves, minimum_lambda, run_cell, run_sweep,
-                          write_records_csv)
+                          dump_se_curves, minimum_lambda, run_sweep, write_records_csv)
 from .instances import (Instance, empirical_observable, generate, load_instance,
                         save_instance, singular_edge_check)
 from .lasso import LassoSolution, kkt_residual, lasso_cost, solve_lasso, spectral_norm
@@ -41,6 +40,6 @@ __all__ = [
     "save_instance", "load_instance",
     "LassoSolution", "solve_lasso", "lasso_cost", "kkt_residual", "spectral_norm",
     "AmpState", "AmpDiagnostics", "run_amp", "write_diagnostics_csv",
-    "ExperimentConfig", "ExperimentRecord", "MinimumLambdaResult", "run_cell",
-    "run_sweep", "write_records_csv", "dump_se_curves", "minimum_lambda",
+    "ExperimentConfig", "ExperimentRecord", "MinimumLambdaResult", "run_sweep",
+    "write_records_csv", "dump_se_curves", "minimum_lambda",
 ]

@@ -123,12 +123,13 @@ def _jaccard(a, b):
 
 
 def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
-            threshold_policy="se", gamma=0.1, active_mask_sink=None):
+            threshold_policy="se", gamma=0.1, active_mask_sink=None, alpha=None):
     """Run the iteration with thresholds theta_t = alpha * tau_t.
 
-    alpha comes from invert_calibration(lam); tau_t is the SE sequence by
-    default (threshold_policy="se"). threshold_policy="residual" takes the
-    first threshold from the residual scale, theta_0 = alpha * ||y||/sqrt(n),
+    alpha is invert_calibration(lam), computed here unless the caller passes
+    it (a sweep holds it from predicted_risk already); tau_t is the SE
+    sequence by default (threshold_policy="se"). threshold_policy="residual"
+    takes the first threshold from the residual scale, theta_0 = alpha * ||y||/sqrt(n),
     and then sets theta_t = lam + b_{t-1} * theta_{t-1}, where b_{t-1} is the
     previous step's Onsager coefficient (active count / n). At a fixed point
     with a stable support this gives theta * (1 - b) = lam exactly, so the
@@ -154,15 +155,17 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
         raise ValueError(f"unknown threshold policy {threshold_policy!r}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
+    if alpha is None:
+        alpha = invert_calibration(params, lam)
+    elif not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     A, y, x0 = instance.A, instance.y, instance.x0
     n, N = A.shape
-    alpha = invert_calibration(params, lam)
 
-    tau2_se = [params.tau2_init]
-    for _ in range(t_max):
-        tau2_se.append(se_map(params, tau2_se[-1], alpha * math.sqrt(tau2_se[-1])))
-
-    state = initial_state(y, N, tau0=math.sqrt(tau2_se[0]))
+    # the SE sequence advances with the iterates, so a run that stops early
+    # computes only the values it uses
+    tau2 = params.tau2_init
+    state = initial_state(y, N, tau0=math.sqrt(tau2))
     diagnostics = []
     prev_mask = np.zeros(N, dtype=bool)
     # carried between steps to finish the previous row's subgradient:
@@ -171,13 +174,14 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
     pending = None
 
     for t in range(t_max):
+        tau2_next = se_map(params, tau2, alpha * math.sqrt(tau2))
         if threshold_policy == "se":
-            theta = alpha * math.sqrt(tau2_se[t])
+            theta = alpha * math.sqrt(tau2)
         elif t == 0:
             theta = alpha * float(np.linalg.norm(state.z)) / math.sqrt(n)
         else:
             theta = lam + state.onsager * state.theta_t
-        new = amp_step(state, A, y, theta, tau=math.sqrt(tau2_se[t + 1]))
+        new = amp_step(state, A, y, theta, tau=math.sqrt(tau2_next))
         atz_prev = new.pre - state.x  # A^T z of the consumed state
         if pending is not None:
             sg = pending["lam_v"] - (atz_prev - pending["onsager"] * pending["atz_prev"])
@@ -191,7 +195,7 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
         diagnostics.append(AmpDiagnostics(
             t=new.t,
             theta=theta,
-            tau2_se=tau2_se[t + 1],
+            tau2_se=tau2_next,
             z_norm2_over_n=float(np.dot(new.z, new.z)) / n,
             mse_vs_x0=empirical_observable(new.x, x0, "squared_error"),
             delta_x_norm=delta_x,
@@ -202,6 +206,7 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
         pending = {"lam_v": lam * v, "onsager": new.onsager, "atz_prev": atz_prev}
         prev_mask = mask
         state = new
+        tau2 = tau2_next
         if delta_x <= stop_tol:
             break
 

@@ -1,10 +1,15 @@
 """Batch sweeps over (lambda, N, seed) cells and curve dumps for plotting.
 
-A cell is one random instance: solve it with the reference solver, run the
-message-passing iteration on it, and record both empirical risks next to
-the theoretical prediction. Cells run one after another, each matrix product
-using every core through BLAS; the prediction is computed once per lambda
-and shared.
+A cell is one penalty on one random instance: solve it with the reference
+solver, run the message-passing iteration on it, and record both empirical
+risks next to the theoretical prediction. Cells are grouped by instance: each
+(N, seed) matrix is drawn and its spectral norm computed once, and every
+penalty of the grid runs on it, so a cell's wall_time_generate is its
+instance's draw plus spectral norm, repeated on each of the instance's rows.
+A failure of the draw or of the spectral norm marks all of that instance's
+rows; a failure of one penalty marks only its own. Instances run one after
+another, each matrix product using every core through BLAS; the prediction
+(and with it AMP's threshold ratio) is computed once per lambda and shared.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from . import lasso
 from ._version import __version__
 from .amp import run_amp
 from .errors import ConvergenceError
@@ -152,35 +158,37 @@ RECORD_COLUMNS = ("lambda", "N", "seed", "ensemble", "mse_lasso", "mse_amp",
                   "wall_time_amp", "error")
 
 
-def run_cell(config, lam, N, seed, prediction, collect=None):
-    """One (lambda, N, seed) cell. `prediction` is the shared per-lambda bundle.
+def _error_record(config, lam, N, seed, prediction, exc):
+    nan = float("nan")
+    return ExperimentRecord(
+        lam=lam, N=N, seed=seed, ensemble=config.ensemble,
+        mse_lasso=nan, mse_amp=nan, mse_predicted=prediction.mse_predicted,
+        amp_lasso_gap=nan, l1_lasso=nan, l1_predicted=prediction.l1_predicted,
+        kkt_residual=nan, wall_time_generate=nan, wall_time_lasso=nan,
+        wall_time_amp=nan, error=f"{type(exc).__name__}: {exc}")
 
-    `collect`, if given, is a dict that receives the heavyweight intermediates
-    (instance, lasso solution, amp state and diagnostics) for callers that
-    want more than the record.
+
+def _run_cell(config, inst, smax, lam, prediction, wall_time_generate):
+    """One penalty on a drawn instance whose spectral norm is `smax`.
 
     Raises:
         ConvergenceError: the reference solve stopped above its KKT tolerance,
             so it is not ground truth for the cell.
     """
-    t0 = time.perf_counter()
-    inst = generate(config.se_params, N, config.ensemble, seed)
     t1 = time.perf_counter()
     sol = solve_lasso(inst.A, inst.y, lam, tol=config.lasso_tol,
-                      max_iter=config.lasso_max_iter)
+                      max_iter=config.lasso_max_iter, smax=smax)
     if not sol.converged:
         raise ConvergenceError(
             f"reference solve stopped at KKT residual {sol.kkt_residual:.3e} "
             f"> {config.lasso_tol:g} after {sol.iterations} iterations")
     t2 = time.perf_counter()
-    state, diag = run_amp(inst, config.se_params, lam,
-                          t_max=config.amp_t_max, stop_tol=config.amp_stop_tol,
-                          threshold_policy=config.amp_policy)
+    state, _ = run_amp(inst, config.se_params, lam,
+                       t_max=config.amp_t_max, stop_tol=config.amp_stop_tol,
+                       threshold_policy=config.amp_policy, alpha=prediction.alpha)
     t3 = time.perf_counter()
-    if collect is not None:
-        collect.update(instance=inst, lasso=sol, amp_state=state, amp_diagnostics=diag)
     return ExperimentRecord(
-        lam=lam, N=N, seed=seed, ensemble=config.ensemble,
+        lam=lam, N=inst.N, seed=inst.seed, ensemble=config.ensemble,
         mse_lasso=empirical_observable(sol.x_hat, inst.x0, "squared_error"),
         mse_amp=empirical_observable(state.x, inst.x0, "squared_error"),
         mse_predicted=prediction.mse_predicted,
@@ -188,41 +196,50 @@ def run_cell(config, lam, N, seed, prediction, collect=None):
         l1_lasso=empirical_observable(sol.x_hat, inst.x0, "l1"),
         l1_predicted=prediction.l1_predicted,
         kkt_residual=sol.kkt_residual,
-        wall_time_generate=t1 - t0,
+        wall_time_generate=wall_time_generate,
         wall_time_lasso=t2 - t1,
         wall_time_amp=t3 - t2,
     )
 
 
-def run_sweep(config, seed_base=0):
-    """All cells of the config; failures become error-tagged records.
+def _run_instance(config, N, seed, predictions):
+    """Every penalty of the grid on the (N, seed) instance, one record each.
 
-    Deterministic given (config, seed_base) apart from the wall times; the
-    result is sorted by (lambda, N, seed).
+    The matrix is drawn and its spectral norm computed once for all
+    penalties. If either fails, every penalty gets an error record; a
+    failure of one penalty leaves the others untouched.
+    """
+    try:
+        t0 = time.perf_counter()
+        inst = generate(config.se_params, N, config.ensemble, seed)
+        # looked up on the module, so a wrapper installed on
+        # lasso.spectral_norm (a tracer, a test's counter) sees this call
+        smax = lasso.spectral_norm(inst.A)
+        wall_time_generate = time.perf_counter() - t0
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        return [_error_record(config, lam, N, seed, predictions[lam], exc)
+                for lam in config.lambda_grid]
+    records = []
+    for lam in config.lambda_grid:
+        try:
+            records.append(_run_cell(config, inst, smax, lam, predictions[lam],
+                                     wall_time_generate))
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            records.append(_error_record(config, lam, N, seed, predictions[lam], exc))
+    return records
+
+
+def run_sweep(config, seed_base=0):
+    """All (lambda, N, seed) cells of the config; failures become error-tagged records.
+
+    Work is keyed by instance: each (N, seed) matrix is drawn once and every
+    penalty runs on it. Deterministic given (config, seed_base) apart from
+    the wall times; the result is sorted by (lambda, N, seed).
     """
     params = config.se_params
     predictions = {lam: predicted_risk(params, lam) for lam in config.lambda_grid}
-    cells = [(lam, N, seed_base + seed)
-             for lam in config.lambda_grid
-             for N in config.N_list
-             for seed in config.seeds]
-
-    def work(cell):
-        lam, N, seed = cell
-        try:
-            return run_cell(config, lam, N, seed, predictions[lam])
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            return ExperimentRecord(
-                lam=lam, N=N, seed=seed, ensemble=config.ensemble,
-                mse_lasso=float("nan"), mse_amp=float("nan"),
-                mse_predicted=predictions[lam].mse_predicted,
-                amp_lasso_gap=float("nan"), l1_lasso=float("nan"),
-                l1_predicted=predictions[lam].l1_predicted,
-                kkt_residual=float("nan"), wall_time_generate=float("nan"),
-                wall_time_lasso=float("nan"), wall_time_amp=float("nan"),
-                error=f"{type(exc).__name__}: {exc}")
-
-    records = [work(c) for c in cells]
+    records = [r for N in config.N_list for seed in config.seeds
+               for r in _run_instance(config, N, seed_base + seed, predictions)]
     records.sort(key=lambda r: (r.lam, r.N, r.seed))
     return records
 

@@ -71,12 +71,14 @@ def spectral_norm(A):
     return float(svds(A, k=1, v0=v0, return_singular_vectors=False)[0])
 
 
-def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000):
+def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, smax=None):
     """Solve the penalized problem to a KKT residual below tol.
 
     Accelerated proximal gradient (momentum reset whenever the cost
-    increases) with step 1/sigma_max(A)^2. If max_iter is exhausted the
-    last iterate is returned with converged=False.
+    increases) with step 1/sigma_max(A)^2. `smax` is sigma_max(A) when the
+    caller already holds it (several penalties on one matrix); otherwise it
+    is computed here. If max_iter is exhausted the last iterate is returned
+    with converged=False.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -84,10 +86,13 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000):
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if smax is not None and not (np.isfinite(smax) and smax >= 0):
+        raise ValueError(f"smax must be finite and nonnegative, got {smax}")
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     n, N = A.shape
-    smax = spectral_norm(A)
+    if smax is None:
+        smax = spectral_norm(A)
     step = 1.0 / (smax * smax) if smax > 0 else 1.0
 
     x = np.zeros(N)

@@ -18,7 +18,7 @@ import pytest
 
 from amplasso.amp import run_amp
 from amplasso.instances import generate, singular_edge_check
-from amplasso.lasso import solve_lasso
+from amplasso.lasso import solve_lasso, spectral_norm
 from amplasso.scalars import (Prior, cross_mse_functional, eta_prime_expectation,
                               get_preset, mse_functional, soft_threshold)
 from amplasso.state_evolution import (SEParams, alpha_min, calibrate_lambda,
@@ -58,24 +58,27 @@ def predictions():
 def gaussian_cells(predictions):
     """LASSO + AMP on every (lambda, seed) cell of the reproduction grid.
 
-    Keeps scalars only: the per-cell matrices are 20 MB each and transient.
-    AMP runs the residual threshold policy for 100 steps with no early stop,
-    which is the configuration the sweep harness uses against the
-    per-instance optimum.
+    Keeps scalars only: the per-seed matrices are 20 MB each and transient;
+    each is drawn once and its spectral norm shared by all penalties, as the
+    sweep harness does. AMP runs the residual threshold policy for 100 steps
+    with no early stop, which is the configuration the sweep harness uses
+    against the per-instance optimum.
     """
     cells = []
     ts = np.arange(30, 101)
-    for lam in LAMBDAS:
-        for seed in SEEDS:
-            inst = generate(PARAMS, N_CELLS, "gaussian", seed)
-            sol = solve_lasso(inst.A, inst.y, lam, tol=1e-8)
+    for seed in SEEDS:
+        inst = generate(PARAMS, N_CELLS, "gaussian", seed)
+        smax = spectral_norm(inst.A)
+        for lam in LAMBDAS:
+            sol = solve_lasso(inst.A, inst.y, lam, tol=1e-8, smax=smax)
             assert sol.converged
             masks = {}
             # negative stop_tol disables the iterate-change stop, so every
             # cell runs the full 100 steps even after an exact plateau
             state, diags = run_amp(inst, PARAMS, lam, t_max=100, stop_tol=-1.0,
                                    threshold_policy="residual", gamma=0.1,
-                                   active_mask_sink=masks)
+                                   active_mask_sink=masks,
+                                   alpha=predictions[lam].alpha)
             M = np.array([masks[t] for t in ts])
             sizes = M.sum(axis=1).astype(np.float64)
             inter = M.astype(np.float32) @ M.astype(np.float32).T
@@ -98,10 +101,11 @@ def gaussian_cells(predictions):
 @pytest.fixture(scope="session")
 def rademacher_mse():
     out = {lam: [] for lam in LAMBDAS}
-    for lam in LAMBDAS:
-        for seed in SEEDS:
-            inst = generate(PARAMS, N_CELLS, "rademacher", seed)
-            sol = solve_lasso(inst.A, inst.y, lam, tol=1e-8)
+    for seed in SEEDS:
+        inst = generate(PARAMS, N_CELLS, "rademacher", seed)
+        smax = spectral_norm(inst.A)
+        for lam in LAMBDAS:
+            sol = solve_lasso(inst.A, inst.y, lam, tol=1e-8, smax=smax)
             assert sol.converged
             out[lam].append(float(np.mean((sol.x_hat - inst.x0) ** 2)))
     return out

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import amplasso.amp
 from amplasso.amp import (DIAGNOSTICS_COLUMNS, amp_step, initial_state, run_amp,
                           write_diagnostics_csv)
 from amplasso.errors import DivergenceError
 from amplasso.instances import generate
 from amplasso.lasso import solve_lasso
 from amplasso.scalars import get_preset
-from amplasso.state_evolution import SEParams, invert_calibration, se_map
+from amplasso.state_evolution import (SEParams, invert_calibration, predicted_risk,
+                                      se_map)
 
 FIG4 = SEParams(delta=0.64, sigma2=0.2, prior=get_preset("three_point_0.064"))
 
@@ -103,6 +105,45 @@ class TestRunAmp:
         for row in diag:
             t2 = se_map(FIG4, t2, alpha * math.sqrt(t2))
             assert_allclose(row.tau2_se, t2, rtol=1e-12)
+
+    def test_state_evolution_computed_only_for_steps_run(self, monkeypatch):
+        inst = tiny_instance(6, N=400)
+        calls = []
+
+        def counted(params, tau2, theta):
+            calls.append(tau2)
+            return se_map(params, tau2, theta)
+
+        monkeypatch.setattr(amplasso.amp, "se_map", counted)
+        alpha = invert_calibration(FIG4, 1.0)
+        state, diag = run_amp(inst, FIG4, 1.0, t_max=200, stop_tol=1e-6, alpha=alpha)
+        assert state.t == len(diag) < 200
+        # tau2_se[1..T] for T steps; tau2_se[0] is tau2_init and needs no call
+        assert len(calls) == state.t
+        t2 = FIG4.tau2_init
+        for row in diag:
+            t2 = se_map(FIG4, t2, alpha * math.sqrt(t2))
+            assert row.tau2_se == t2
+
+    @pytest.mark.parametrize("policy", ["se", "residual"])
+    def test_given_alpha_gives_the_same_run(self, policy):
+        inst = tiny_instance(14, N=300)
+        plain_state, plain_diag = run_amp(inst, FIG4, 0.9, t_max=40,
+                                          threshold_policy=policy)
+        given_state, given_diag = run_amp(inst, FIG4, 0.9, t_max=40,
+                                          threshold_policy=policy,
+                                          alpha=predicted_risk(FIG4, 0.9).alpha)
+        assert np.array_equal(plain_state.x, given_state.x)
+        assert np.array_equal(plain_state.z, given_state.z)
+        assert (plain_state.t, plain_state.tau_t, plain_state.theta_t, plain_state.onsager) == \
+            (given_state.t, given_state.tau_t, given_state.theta_t, given_state.onsager)
+        assert plain_diag == given_diag
+
+    def test_invalid_alpha(self):
+        inst = tiny_instance(17, N=100)
+        for a in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                run_amp(inst, FIG4, 1.0, t_max=3, alpha=a)
 
     def test_early_stop(self):
         inst = tiny_instance(6, N=400)

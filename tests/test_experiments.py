@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import amplasso.amp
 import amplasso.experiments as exps
+import amplasso.lasso
 from amplasso.experiments import (CurveTables, ExperimentConfig, ExperimentRecord,
                                   dump_se_curves,
                                   minimum_lambda, run_sweep, write_curve_tables,
@@ -110,6 +112,54 @@ class TestRunSweep:
         assert all("boom" in r.error for r in failed)
         assert all(np.isnan(r.mse_lasso) for r in failed)
         assert all(r.error == "" for r in records if r.lam == 1.2)
+
+
+    def test_one_draw_spectral_norm_and_no_recalibration_per_instance(self, monkeypatch):
+        calls = {"generate": 0, "spectral_norm": 0, "invert_calibration": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(exps, "generate", counted("generate", exps.generate))
+        monkeypatch.setattr(amplasso.lasso, "spectral_norm",
+                            counted("spectral_norm", amplasso.lasso.spectral_norm))
+        monkeypatch.setattr(amplasso.amp, "invert_calibration",
+                            counted("invert_calibration", amplasso.amp.invert_calibration))
+        records = run_sweep(replace(SMALL, N_list=(120, 150)))
+        assert len(records) == 8 and all(r.error == "" for r in records)
+        # 2 sizes x 2 seeds; AMP takes alpha from the shared prediction
+        assert calls == {"generate": 4, "spectral_norm": 4, "invert_calibration": 0}
+        # each instance's draw time is shared by all of its penalties
+        for N in (120, 150):
+            for seed in SMALL.seeds:
+                times = {r.wall_time_generate for r in records
+                         if r.N == N and r.seed == seed}
+                assert len(times) == 1
+
+    def test_instance_failure_marks_only_its_rows(self, monkeypatch):
+        real = exps.generate
+
+        def flaky(params, N, ensemble, seed):
+            if seed == 1:
+                raise RuntimeError("no draw")
+            return real(params, N, ensemble, seed)
+
+        monkeypatch.setattr(exps, "generate", flaky)
+        records = run_sweep(SMALL)
+        assert len(records) == 4
+        keys = [(r.lam, r.N, r.seed) for r in records]
+        assert keys == sorted(keys)
+        for r in records:
+            if r.seed == 1:
+                assert r.error == "RuntimeError: no draw"
+                assert np.isnan(r.mse_lasso) and np.isnan(r.wall_time_generate)
+                assert np.isfinite(r.mse_predicted)
+            else:
+                assert r.error == ""
+                assert np.isfinite(r.mse_lasso) and np.isfinite(r.mse_amp)
 
 
 class TestCsvOutput:

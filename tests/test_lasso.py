@@ -119,6 +119,20 @@ class TestHelpers:
         with pytest.raises(ValueError):
             solve_lasso(A, y, -0.5)
 
+    def test_given_spectral_norm_gives_the_same_solution(self):
+        A, y = small_instance(7)
+        plain = solve_lasso(A, y, 0.1, tol=1e-10)
+        given = solve_lasso(A, y, 0.1, tol=1e-10, smax=spectral_norm(A))
+        assert np.array_equal(plain.x_hat, given.x_hat)
+        assert plain.iterations == given.iterations
+        assert plain.kkt_residual == given.kkt_residual
+
+    @pytest.mark.parametrize("smax", [-1.0, float("nan"), float("inf")])
+    def test_invalid_spectral_norm(self, smax):
+        A, y = small_instance(1)
+        with pytest.raises(ValueError):
+            solve_lasso(A, y, 0.1, smax=smax)
+
     def test_invalid_max_iter(self):
         A, y = small_instance(1)
         with pytest.raises(ValueError):
