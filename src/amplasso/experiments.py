@@ -203,12 +203,8 @@ def _run_cell(config, inst, smax, lam, prediction, wall_time_generate):
 
 
 def _run_instance(config, N, seed, predictions):
-    """Every penalty of the grid on the (N, seed) instance, one record each.
-
-    The matrix is drawn and its spectral norm computed once for all
-    penalties. If either fails, every penalty gets an error record; a
-    failure of one penalty leaves the others untouched.
-    """
+    """Every penalty of the grid on the (N, seed) instance, one record each
+    (grouping and failure rules: see the module docstring)."""
     try:
         t0 = time.perf_counter()
         inst = generate(config.se_params, N, config.ensemble, seed)
@@ -232,9 +228,8 @@ def _run_instance(config, N, seed, predictions):
 def run_sweep(config, seed_base=0):
     """All (lambda, N, seed) cells of the config; failures become error-tagged records.
 
-    Work is keyed by instance: each (N, seed) matrix is drawn once and every
-    penalty runs on it. Deterministic given (config, seed_base) apart from
-    the wall times; the result is sorted by (lambda, N, seed).
+    Deterministic given (config, seed_base) apart from the wall times; the
+    result is sorted by (lambda, N, seed).
     """
     params = config.se_params
     predictions = {lam: predicted_risk(params, lam) for lam in config.lambda_grid}
