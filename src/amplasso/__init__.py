@@ -21,8 +21,7 @@ from .instances import (Instance, empirical_observable, generate, load_instance,
                         save_instance, singular_edge_check)
 from .lasso import LassoSolution, kkt_residual, lasso_cost, solve_lasso, spectral_norm
 from .scalars import (Prior, cross_mse_functional, eta_prime_expectation,
-                      get_preset, l1_expectation, mse_functional, soft_threshold,
-                      soft_threshold_deriv)
+                      get_preset, l1_expectation, mse_functional, soft_threshold)
 from .state_evolution import (PredictionBundle, SEParams, SETrajectory, TwoTimeCov,
                               alpha_min, calibrate_lambda, fixed_point,
                               invert_calibration, predicted_risk, se_derivative,
@@ -31,7 +30,7 @@ from .state_evolution import (PredictionBundle, SEParams, SETrajectory, TwoTimeC
 __all__ = [
     "__version__",
     "AmplassoError", "ConsistencyError", "ConvergenceError", "DivergenceError",
-    "Prior", "soft_threshold", "soft_threshold_deriv", "mse_functional",
+    "Prior", "soft_threshold", "mse_functional",
     "eta_prime_expectation", "l1_expectation", "cross_mse_functional", "get_preset",
     "SEParams", "SETrajectory", "TwoTimeCov", "PredictionBundle", "se_map",
     "alpha_min", "fixed_point", "se_derivative", "calibrate_lambda",

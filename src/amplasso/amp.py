@@ -30,31 +30,29 @@ class AmpState:
     """Iterate at time t.
 
     theta_t is the threshold applied by the step that produced x (nan at
-    t=0, where no step has run); tau_t is the matching SE scale for z; pre
-    is the pre-threshold vector A^T z_prev + x_prev that x was cut from,
-    kept so the optimality diagnostics need no extra matrix products.
+    t=0, where no step has run); pre is the pre-threshold vector
+    A^T z_prev + x_prev that x was cut from, kept so the optimality
+    diagnostics need no extra matrix products.
     """
 
     x: np.ndarray
     z: np.ndarray
     t: int
-    tau_t: float
     theta_t: float
     onsager: float
     pre: np.ndarray | None = field(default=None, repr=False)
 
 
-def initial_state(y, N, tau0=float("nan")):
+def initial_state(y, N):
     """The t=0 state: x = 0, z = y (no memory term exists yet)."""
     y = np.asarray(y, dtype=float)
-    return AmpState(x=np.zeros(N), z=y.copy(), t=0, tau_t=tau0, theta_t=float("nan"), onsager=0.0)
+    return AmpState(x=np.zeros(N), z=y.copy(), t=0, theta_t=float("nan"), onsager=0.0)
 
 
-def amp_step(state, A, y, theta, tau=float("nan")):
+def amp_step(state, A, y, theta):
     """Advance one iteration with threshold theta.
 
-    Exactly one product with A and one with A^T. `tau` optionally records
-    the SE scale of the new state for diagnostics.
+    Exactly one product with A and one with A^T.
 
     Raises:
         ValueError: dimension mismatch or nonpositive threshold.
@@ -72,7 +70,7 @@ def amp_step(state, A, y, theta, tau=float("nan")):
         z_new = y - A @ x_new + onsager * state.z
     if not (np.isfinite(x_new).all() and np.isfinite(z_new).all()):
         raise DivergenceError(f"non-finite iterate at t={state.t + 1}", t=state.t + 1)
-    return AmpState(x=x_new, z=z_new, t=state.t + 1, tau_t=tau, theta_t=theta,
+    return AmpState(x=x_new, z=z_new, t=state.t + 1, theta_t=theta,
                     onsager=onsager, pre=pre)
 
 
@@ -88,7 +86,6 @@ class AmpDiagnostics:
     delta_x_norm: float
     subgradient_norm: float
     active_set_size: int
-    active_set_jaccard_prev: float
 
 
 DIAGNOSTICS_COLUMNS = ("t", "theta_t", "tau2_se", "z_norm2_over_n", "mse_vs_x0",
@@ -113,13 +110,6 @@ def _boundary_coords(pre, x_new, theta):
     if excess > _SIGN_SLACK:
         raise ConsistencyError(f"subgradient entry exceeds 1 by {excess:.3e}")
     return v
-
-
-def _jaccard(a, b):
-    union = np.count_nonzero(a | b)
-    if union == 0:
-        return 1.0
-    return float(np.count_nonzero(a & b)) / union
 
 
 def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
@@ -165,9 +155,8 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
     # the SE sequence advances with the iterates, so a run that stops early
     # computes only the values it uses
     tau2 = params.tau2_init
-    state = initial_state(y, N, tau0=math.sqrt(tau2))
+    state = initial_state(y, N)
     diagnostics = []
-    prev_mask = np.zeros(N, dtype=bool)
     # carried between steps to finish the previous row's subgradient:
     # lam * v - (A^T z - onsager * A^T z_prev), where A^T z is read off the
     # NEXT step's pre-threshold vector
@@ -181,7 +170,7 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
             theta = alpha * float(np.linalg.norm(state.z)) / math.sqrt(n)
         else:
             theta = lam + state.onsager * state.theta_t
-        new = amp_step(state, A, y, theta, tau=math.sqrt(tau2_next))
+        new = amp_step(state, A, y, theta)
         atz_prev = new.pre - state.x  # A^T z of the consumed state
         if pending is not None:
             sg = pending["lam_v"] - (atz_prev - pending["onsager"] * pending["atz_prev"])
@@ -201,10 +190,8 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
             delta_x_norm=delta_x,
             subgradient_norm=float("nan"),
             active_set_size=int(np.count_nonzero(mask)),
-            active_set_jaccard_prev=_jaccard(mask, prev_mask),
         ))
         pending = {"lam_v": lam * v, "onsager": new.onsager, "atz_prev": atz_prev}
-        prev_mask = mask
         state = new
         tau2 = tau2_next
         if delta_x <= stop_tol:

@@ -19,7 +19,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -152,6 +152,7 @@ class ExperimentRecord:
     error: str = ""
 
 
+# the sweep.csv header: one name per ExperimentRecord field, in field order
 RECORD_COLUMNS = ("lambda", "N", "seed", "ensemble", "mse_lasso", "mse_amp",
                   "mse_predicted", "amp_lasso_gap", "l1_lasso", "l1_predicted",
                   "kkt_residual", "wall_time_generate", "wall_time_lasso",
@@ -243,12 +244,7 @@ def write_records_csv(records, csv_path, sidecar_path=None, config=None):
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow([r.lam, r.N, r.seed, r.ensemble, r.mse_lasso,
-                             r.mse_amp, r.mse_predicted, r.amp_lasso_gap,
-                             r.l1_lasso, r.l1_predicted, r.kkt_residual,
-                             r.wall_time_generate, r.wall_time_lasso,
-                             r.wall_time_amp, r.error])
+        writer.writerows(astuple(r) for r in records)
     if sidecar_path is not None:
         sidecar = {"version": __version__,
                    "config": config.to_json() if config is not None else None,

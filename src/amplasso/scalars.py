@@ -47,19 +47,6 @@ def soft_threshold(x, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def soft_threshold_deriv(x, theta):
-    """Derivative of soft_threshold in its first argument: 1{|x| > theta}.
-
-    The boundary |x| = theta is assigned derivative 0 (a fixed convention;
-    the event has measure zero in every use here).
-    """
-    if theta < 0:
-        raise ValueError(f"threshold must be nonnegative, got {theta}")
-    x = np.asarray(x, dtype=float)
-    out = (np.abs(x) > theta).astype(float)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class Prior:
     """Finite discrete signal prior: atoms with probability weights.

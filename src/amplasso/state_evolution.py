@@ -27,7 +27,6 @@ from .scalars import (
 
 _FP_REL_TOL = 1e-12
 _FP_MAX_ITER = 100_000
-_CAL_REL_TOL = 1e-9
 _ALPHA_CAP = 1e6
 
 
@@ -65,7 +64,6 @@ class SETrajectory:
 
     tau2_sequence: list
     alpha: float
-    converged: bool
     tau2_star: float
 
     @property
@@ -139,7 +137,7 @@ def fixed_point(params, alpha, tau2_init=None):
         if step_ok and abs(after - nxt) <= residual_tol:
             seq.append(nxt)
             _assert_monotone(seq)
-            return SETrajectory(tau2_sequence=seq, alpha=alpha, converged=True, tau2_star=nxt)
+            return SETrajectory(tau2_sequence=seq, alpha=alpha, tau2_star=nxt)
         seq.append(nxt)
         t2, nxt = nxt, after
     raise ConvergenceError(
@@ -197,12 +195,13 @@ def calibrate_lambda(params, alpha):
 def invert_calibration(params, lam):
     """Threshold ratio alpha solving calibrate_lambda(alpha) = lam, lam > 0.
 
-    Bracket search: the lower end alpha_min + 1e-6 is known to be below the
-    root (the calibration map diverges to -infinity at alpha_min+, so its
-    value there is never actually evaluated, which would otherwise require
-    a near-critical fixed-point solve); the upper end doubles its distance
-    from alpha_min until the map exceeds lam, then bisection runs until the
-    recovered penalty matches lam to 1e-9 relative.
+    One Brent root of calibrate_lambda(alpha) - lam on the bracket
+    [alpha_min + d, alpha_min + 2d]: d starts at 1 and doubles while the
+    penalty at the upper end is at most lam, or halves while the penalty at
+    the lower end exceeds it. Halving ends because the calibration map
+    diverges to -infinity at alpha_min+. Both ends are points the search
+    has already evaluated, so no fixed point is solved closer to the
+    critical alpha_min than the root requires.
 
     Raises:
         ValueError: lam <= 0.
@@ -211,25 +210,23 @@ def invert_calibration(params, lam):
     if not (lam > 0 and np.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     amin = alpha_min(params.delta)
-    lo = amin + 1e-6
-    hi = amin + 1.0
-    while calibrate_lambda(params, hi) <= lam:
-        lo = hi
-        hi = amin + 2.0 * (hi - amin)
-        if hi > _ALPHA_CAP:
-            raise ConvergenceError(
-                f"no alpha <= {_ALPHA_CAP:g} reaches lambda={lam}; parameters look pathological"
-            )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lam_mid = calibrate_lambda(params, mid)
-        if abs(lam_mid - lam) <= _CAL_REL_TOL * max(1.0, abs(lam)):
-            return mid
-        if lam_mid > lam:
-            hi = mid
-        else:
-            lo = mid
-    raise ConvergenceError(f"calibration bisection stalled for lambda={lam} on [{lo}, {hi}]")
+
+    def excess(alpha):
+        return calibrate_lambda(params, alpha) - lam
+
+    d = 1.0
+    if excess(amin + d) > 0.0:
+        d *= 0.5
+        while excess(amin + d) > 0.0:
+            d *= 0.5
+    else:
+        while excess(amin + 2.0 * d) <= 0.0:
+            d *= 2.0
+            if amin + 2.0 * d > _ALPHA_CAP:
+                raise ConvergenceError(
+                    f"no alpha <= {_ALPHA_CAP:g} reaches lambda={lam}; parameters look pathological"
+                )
+    return float(brentq(excess, amin + d, amin + 2.0 * d, xtol=1e-15, rtol=8.9e-16))
 
 
 @dataclass
@@ -243,17 +240,6 @@ class PredictionBundle:
     mse_predicted: float
     l1_predicted: float
     sparsity_predicted: float
-
-    def to_json(self):
-        return {
-            "tau2_star": self.tau2_star,
-            "theta_star": self.theta_star,
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "mse_predicted": self.mse_predicted,
-            "l1_predicted": self.l1_predicted,
-            "sparsity_predicted": self.sparsity_predicted,
-        }
 
 
 def predicted_risk(params, lam):

@@ -62,10 +62,9 @@ class TestAmpStep:
     def test_counter_and_threshold_recorded(self):
         inst = tiny_instance(2, N=40)
         state = initial_state(inst.y, 40)
-        new = amp_step(state, inst.A, inst.y, theta=0.9, tau=1.23)
+        new = amp_step(state, inst.A, inst.y, theta=0.9)
         assert new.t == 1
         assert new.theta_t == 0.9
-        assert new.tau_t == 1.23
         assert new.pre is not None
 
     def test_onsager_is_active_fraction_over_n(self):
@@ -135,8 +134,8 @@ class TestRunAmp:
                                           alpha=predicted_risk(FIG4, 0.9).alpha)
         assert np.array_equal(plain_state.x, given_state.x)
         assert np.array_equal(plain_state.z, given_state.z)
-        assert (plain_state.t, plain_state.tau_t, plain_state.theta_t, plain_state.onsager) == \
-            (given_state.t, given_state.tau_t, given_state.theta_t, given_state.onsager)
+        assert (plain_state.t, plain_state.theta_t, plain_state.onsager) == \
+            (given_state.t, given_state.theta_t, given_state.onsager)
         assert plain_diag == given_diag
 
     def test_invalid_alpha(self):
@@ -156,8 +155,7 @@ class TestRunAmp:
         _, diag = run_amp(inst, FIG4, 0.8, t_max=12, stop_tol=0.0)
         for row in diag:
             for name in ("theta", "tau2_se", "z_norm2_over_n", "mse_vs_x0",
-                         "delta_x_norm", "subgradient_norm",
-                         "active_set_jaccard_prev"):
+                         "delta_x_norm", "subgradient_norm"):
                 assert np.isfinite(getattr(row, name)), name
             assert 0 <= row.active_set_size <= 300
 

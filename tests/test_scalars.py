@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from amplasso.scalars import (Prior, cross_mse_functional, eta_prime_expectation,
                               get_preset, l1_expectation, mse_functional,
-                              soft_threshold, soft_threshold_deriv)
+                              soft_threshold)
 
 THREE = Prior((-1.0, 0.0, 1.0), (0.064, 0.872, 0.064))
 POINT = Prior((0.0,), (1.0,))
@@ -34,14 +34,6 @@ class TestSoftThreshold:
     def test_array_input(self):
         x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
         assert_allclose(soft_threshold(x, 1.0), [-1.0, 0.0, 0.0, 0.0, 1.0])
-
-    def test_deriv_indicator(self):
-        x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        assert_allclose(soft_threshold_deriv(x, 1.0), [1.0, 0.0, 0.0, 0.0, 1.0])
-
-    def test_deriv_boundary_is_zero(self):
-        assert soft_threshold_deriv(1.0, 1.0) == 0.0
-        assert soft_threshold_deriv(-1.0, 1.0) == 0.0
 
     @given(x=finite_floats, y=finite_floats, theta=thetas)
     def test_lipschitz(self, x, y, theta):

@@ -145,9 +145,17 @@ class TestCalibration:
             assert_allclose(invert_calibration(FIG4, lam), alpha, atol=1e-6)
 
     def test_round_trip_lambda_to_alpha(self):
-        for lam in (0.2, 0.7, 1.3, 2.0):
-            alpha = invert_calibration(FIG4, lam)
-            assert_allclose(calibrate_lambda(FIG4, alpha), lam, atol=1e-8)
+        # for every parameter set the root of lambda = 0.2 lies below
+        # alpha_min + 1 and the others above it, so the bracket search both
+        # halves and doubles
+        for p in RANDOM_PARAM_SETS:
+            amin = alpha_min(p.delta)
+            below = []
+            for lam in (0.2, 0.7, 1.3, 2.0):
+                alpha = invert_calibration(p, lam)
+                below.append(alpha < amin + 1.0)
+                assert abs(calibrate_lambda(p, alpha) - lam) <= 1e-12 * max(1.0, lam)
+            assert below == [True, False, False, False]
 
     def test_penalty_negative_near_admissible_edge(self):
         amin = alpha_min(FIG4.delta)
@@ -165,8 +173,9 @@ class TestCalibration:
 class TestPredictedRisk:
     def test_fig4_reference_numbers(self):
         bundle = predicted_risk(FIG4, 1.0)
-        assert_allclose(bundle.tau2_star, 0.3636651150381678, rtol=1e-10)
-        assert_allclose(bundle.mse_predicted, 0.10474567362441817, rtol=1e-10)
+        assert abs(calibrate_lambda(FIG4, bundle.alpha) - 1.0) <= 1e-12
+        assert_allclose(bundle.tau2_star, 0.3636651150808357, rtol=1e-10)
+        assert_allclose(bundle.mse_predicted, 0.1047456736517257, rtol=1e-10)
 
     def test_identity_between_formulas(self):
         # direct expectation vs delta*(tau*^2 - sigma^2), checked internally
@@ -182,12 +191,6 @@ class TestPredictedRisk:
         p = SEParams(delta=0.64, sigma2=0.2, prior=Prior((0.0,), (1.0,)))
         with pytest.raises(ValueError):
             predicted_risk(p, 1.0)
-
-    def test_json_payload(self):
-        obj = predicted_risk(FIG4, 0.5).to_json()
-        assert obj["lambda"] == 0.5
-        assert set(obj) >= {"tau2_star", "theta_star", "alpha", "lambda",
-                            "mse_predicted", "l1_predicted", "sparsity_predicted"}
 
 
 class TestTwoTimeRecursion:
