@@ -276,7 +276,7 @@ def dump_se_curves(params, alpha_grid=None, tau2_grid=None, f_map_alpha=2.0):
     (default 2.0); the second and third trace the fixed point tau*(alpha)
     and the calibrated penalty lambda(alpha) over alpha_grid.
     """
-    from .state_evolution import calibrate_lambda, se_map
+    from .state_evolution import _penalty_at, se_map
 
     if alpha_grid is None:
         lo = alpha_min(params.delta)
@@ -299,7 +299,7 @@ def dump_se_curves(params, alpha_grid=None, tau2_grid=None, f_map_alpha=2.0):
             continue
         tau2_star = fixed_point(params, a).tau2_star
         tau_rows.append((a, math.sqrt(tau2_star), ""))
-        lam_rows.append((a, calibrate_lambda(params, a), ""))
+        lam_rows.append((a, _penalty_at(params, a, tau2_star), ""))
     return CurveTables(f_map=f_rows, tau_star=tau_rows, lambda_of_alpha=lam_rows)
 
 

@@ -186,8 +186,12 @@ def calibrate_lambda(params, alpha):
 
     with tau* the fixed point at this alpha. Can be negative near alpha_min.
     """
-    traj = fixed_point(params, alpha)
-    tau = np.sqrt(traj.tau2_star)
+    return _penalty_at(params, alpha, fixed_point(params, alpha).tau2_star)
+
+
+def _penalty_at(params, alpha, tau2_star):
+    """calibrate_lambda's formula for a caller that already holds tau*^2 at alpha."""
+    tau = np.sqrt(tau2_star)
     theta = alpha * tau
     return float(theta * (1.0 - eta_prime_expectation(params.prior, tau, theta) / params.delta))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from amplasso import lasso
 from amplasso.lasso import (LassoSolution, kkt_residual, lasso_cost, solve_lasso,
                             spectral_norm)
 from amplasso.scalars import soft_threshold
@@ -32,13 +33,36 @@ def coordinate_descent(A, y, lam, sweeps=200_000, tol=1e-13):
     return x
 
 
-def small_instance(seed, n=8, N=10):
+def small_instance(seed, n=8, N=10, k=3):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, N)) / np.sqrt(n)
     x0 = np.zeros(N)
-    x0[rng.choice(N, 3, replace=False)] = rng.normal(size=3)
+    x0[rng.choice(N, k, replace=False)] = rng.normal(size=k)
     y = A @ x0 + 0.1 * rng.normal(size=n)
     return A, y
+
+
+@pytest.fixture
+def finishes(monkeypatch):
+    """(signs, budget, x, steps, settled) of every conjugate-gradient finish solve_lasso runs."""
+    log = []
+    real = lasso._cg_finish
+
+    def record(A, lam, tol, x, Ax, g, signs, budget):
+        out = real(A, lam, tol, x, Ax, g, signs, budget)
+        x_out, _, steps, settled = out
+        log.append((signs, budget, x_out, steps, settled))
+        return out
+
+    monkeypatch.setattr(lasso, "_cg_finish", record)
+    return log
+
+
+def assert_fresh_certificate(A, y, sol, lam, tol):
+    """The reported residual is, to the bit, the one a fresh gradient gives at x_hat."""
+    fresh = kkt_residual(A, y, sol.x_hat, lam)
+    assert sol.kkt_residual == fresh
+    assert sol.converged == (fresh <= tol)
 
 
 class TestAgainstCoordinateDescent:
@@ -49,6 +73,77 @@ class TestAgainstCoordinateDescent:
         ours = solve_lasso(A, y, lam, tol=1e-11)
         oracle = coordinate_descent(A, y, lam)
         assert np.max(np.abs(ours.x_hat - oracle)) < 1e-8
+
+
+class TestConjugateGradientFinish:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_finished_solve_matches_oracle(self, monkeypatch, finishes, seed):
+        A, y = small_instance(seed, n=20, N=40, k=5)
+        sol = solve_lasso(A, y, 0.05, tol=1e-11)
+        signs, _, _, _, settled = finishes[-1]
+        assert settled and np.array_equal(signs, np.sign(sol.x_hat))
+        assert_fresh_certificate(A, y, sol, 0.05, 1e-11)
+        assert np.max(np.abs(sol.x_hat - coordinate_descent(A, y, 0.05))) < 1e-8
+        # the same solve with every finish making no step
+        monkeypatch.setattr(lasso, "_cg_finish", lambda A, lam, tol, x, Ax, *_: (x, Ax, 0, True))
+        assert solve_lasso(A, y, 0.05, tol=1e-11).iterations > 1.5 * sol.iterations
+
+    def test_wrong_settled_support_falls_back_to_fista(self, finishes):
+        # FISTA's first settled support here misses a coordinate: conjugate
+        # gradients solve on it to tol, and the check after the block rejects it
+        A, y = small_instance(11)
+        lam, tol = 0.02, 1e-11
+        sol = solve_lasso(A, y, lam, tol=tol)
+        signs, _, x_cg, _, settled = finishes[0]
+        assert settled and not np.array_equal(signs, np.sign(sol.x_hat))
+        assert kkt_residual(A, y, x_cg, lam) > 1e-5
+        assert sol.converged
+        assert_fresh_certificate(A, y, sol, lam, tol)
+        assert np.max(np.abs(sol.x_hat - coordinate_descent(A, y, lam))) < 1e-8
+
+    def test_finish_on_a_wrong_support_settles_off_the_minimiser(self):
+        A, y = small_instance(0, n=20, N=40, k=5)
+        lam, tol = 0.05, 1e-10
+        exact = solve_lasso(A, y, lam, tol=1e-12).x_hat
+        # drop the smallest coordinate of the true support: the reduced
+        # system's solution keeps every sign, but the dropped coordinate
+        # violates the off-support condition
+        x = exact.copy()
+        x[np.argmin(np.where(x != 0.0, np.abs(x), np.inf))] = 0.0
+        Ax = A @ x
+        g = A.T @ (y - Ax)
+        start = x.copy(), Ax.copy(), g.copy()
+        x_cg, Ax_cg, steps, settled = lasso._cg_finish(A, lam, tol, x, Ax, g, np.sign(x), 1000)
+        assert settled and steps > 1 and np.array_equal(np.sign(x_cg), np.sign(x))
+        assert kkt_residual(A, y, x_cg, lam) > 1e-3
+        assert_allclose(Ax_cg, A @ x_cg, rtol=0, atol=1e-14)
+        # the true signed support reaches the minimiser from the same start
+        x_cg, _, _, settled = lasso._cg_finish(A, lam, tol, x, Ax, g, np.sign(exact), 1000)
+        assert settled and np.max(np.abs(x_cg - exact)) < 1e-9
+        # out of steps: not settled, and the steps made are the budget
+        assert lasso._cg_finish(A, lam, tol, x, Ax, g, np.sign(exact), 2)[2:] == (2, False)
+        # the caller's arrays are untouched
+        assert all(np.array_equal(a, b) for a, b in zip((x, Ax, g), start))
+
+    def test_steps_count_under_max_iter(self, finishes):
+        A, y = small_instance(2, n=20, N=40, k=5)
+        sol = solve_lasso(A, y, 0.05, tol=1e-11)
+        assert sum(steps for *_, steps, _ in finishes) > 0
+        # finish steps are iterations: with them every block between checks
+        # is 10 steps, the last of which is a FISTA step
+        assert sol.iterations % 10 == 0
+        assert all(budget == 9 for _, budget, *_ in finishes)
+        # two steps into the block of the last finish, which took more: it
+        # gets one step, so that a FISTA step still precedes the closing
+        # check, and the solve stops there unconverged
+        assert finishes[-1][3] > 2
+        max_iter = sol.iterations - 8
+        finishes.clear()
+        short = solve_lasso(A, y, 0.05, tol=1e-11, max_iter=max_iter)
+        assert finishes[-1][1:2] + finishes[-1][3:] == (1, 1, False)
+        assert short.iterations == max_iter
+        assert not short.converged
+        assert_fresh_certificate(A, y, short, 0.05, 1e-11)
 
 
 class TestOptimalityStructure:
@@ -91,10 +186,16 @@ class TestHelpers:
         rng = np.random.default_rng(2)
         A = rng.normal(size=(40, 60))
         assert_allclose(spectral_norm(A), np.linalg.svd(A, compute_uv=False)[0], rtol=1e-8)
-        # the shape of the README instances, where the step 1/sigma_max^2 must
-        # not exceed 1/L
-        A = rng.normal(size=(1280, 2000)) / np.sqrt(1280)
-        assert_allclose(spectral_norm(A), np.sqrt(np.linalg.eigvalsh(A @ A.T)[-1]), rtol=1e-12)
+        # the shape of the README instances in both ensembles, where the step
+        # 1/sigma_max^2 must not exceed 1/L; Lanczos is exact to rounding
+        # here, so a looser ARPACK stop would show
+        for seed in range(3):
+            rng_A = np.random.default_rng(seed)
+            for A in (rng_A.normal(size=(1280, 2000)),
+                      rng_A.integers(0, 2, (1280, 2000)) * 2.0 - 1.0):
+                A /= np.sqrt(1280)
+                assert_allclose(spectral_norm(A), np.sqrt(np.linalg.eigvalsh(A @ A.T)[-1]),
+                                rtol=1e-14)
         # rank one or zero: no Lanczos run
         for A in (rng.normal(size=(1, 50)), rng.normal(size=(50, 1))):
             assert_allclose(spectral_norm(A), np.linalg.svd(A, compute_uv=False)[0], rtol=1e-12)
