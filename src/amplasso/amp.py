@@ -18,11 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, DivergenceError
-from .instances import empirical_observable
 from .scalars import soft_threshold
 from .state_evolution import invert_calibration, se_map
 
 _SIGN_SLACK = 1e-12
+# the near-boundary set handed to run_amp's active_mask_sink: coordinates
+# whose boundary value |(pre - x)/theta| is at least 1 - _ACTIVE_GAMMA
+_ACTIVE_GAMMA = 0.1
 
 
 @dataclass
@@ -113,7 +115,7 @@ def _boundary_coords(pre, x_new, theta):
 
 
 def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
-            threshold_policy="se", gamma=0.1, active_mask_sink=None, alpha=None):
+            threshold_policy="se", active_mask_sink=None, alpha=None):
     """Run the iteration with thresholds theta_t = alpha * tau_t.
 
     alpha is invert_calibration(lam), computed here unless the caller passes
@@ -135,16 +137,14 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
 
     If active_mask_sink is a dict it receives {t: boolean mask} of the
     near-boundary set at every iteration: the coordinates whose boundary
-    value |(pre - x)/theta| is at least 1 - gamma, for gamma in (0, 1). The
-    value is exactly 1 on the support, so the set always contains it.
+    value |(pre - x)/theta| is at least 1 - _ACTIVE_GAMMA (0.9). The value
+    is exactly 1 on the support, so the set always contains it.
 
     Returns:
         (final AmpState, list of AmpDiagnostics, one entry per step).
     """
     if threshold_policy not in ("se", "residual"):
         raise ValueError(f"unknown threshold policy {threshold_policy!r}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0,1), got {gamma}")
     if alpha is None:
         alpha = invert_calibration(params, lam)
     elif not (math.isfinite(alpha) and alpha > 0):
@@ -177,7 +177,7 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
             diagnostics[-1].subgradient_norm = float(np.linalg.norm(sg)) / math.sqrt(N)
 
         v = _boundary_coords(new.pre, new.x, theta)
-        mask = np.abs(v) >= 1.0 - gamma
+        mask = np.abs(v) >= 1.0 - _ACTIVE_GAMMA
         if active_mask_sink is not None:
             active_mask_sink[new.t] = mask
         delta_x = float(np.linalg.norm(new.x - state.x)) / math.sqrt(N)
@@ -186,7 +186,7 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
             theta=theta,
             tau2_se=tau2_next,
             z_norm2_over_n=float(np.dot(new.z, new.z)) / n,
-            mse_vs_x0=empirical_observable(new.x, x0, "squared_error"),
+            mse_vs_x0=float(np.mean((new.x - x0) ** 2)),
             delta_x_norm=delta_x,
             subgradient_norm=float("nan"),
             active_set_size=int(np.count_nonzero(mask)),

@@ -6,6 +6,9 @@ Subcommands:
     min-lambda      search the predicted-risk minimizer inside a bracket
     check-instance  generate (or load) one instance and run sanity checks
 
+Every subcommand reads its values from one ExperimentConfig, parsed and
+validated before anything is written.
+
 Exit codes: 0 success, 2 invalid config or arguments, 3 a cell or check failed.
 """
 
@@ -22,7 +25,6 @@ from ._version import __version__
 from .experiments import (ExperimentConfig, dump_se_curves, minimum_lambda,
                           run_sweep, write_curve_tables, write_records_csv)
 from .instances import generate, load_instance, singular_edge_check
-from .state_evolution import SEParams
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -34,9 +36,7 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _cmd_sweep(args):
-    raw = _load_json(args.config)
-    config = ExperimentConfig.from_json(raw)
+def _cmd_sweep(args, config):
     out_dir = args.out or config.out
     os.makedirs(out_dir, exist_ok=True)
     records = run_sweep(config, seed_base=args.seed_base)
@@ -57,16 +57,11 @@ def _cmd_sweep(args):
     return _EXIT_FAILED_CELL if n_err else _EXIT_OK
 
 
-def _cmd_se_curves(args):
-    raw = _load_json(args.config)
-    params = SEParams.from_json(raw)
-    alpha_grid = np.asarray(raw["alpha_grid"], dtype=float) if "alpha_grid" in raw else None
-    tau2_grid = np.asarray(raw["tau2_grid"], dtype=float) if "tau2_grid" in raw else None
-    f_map_alpha = float(raw.get("f_map_alpha", 2.0))
-    out_dir = args.out or raw.get("out", "results")
+def _cmd_se_curves(args, config):
+    out_dir = args.out or config.out
     os.makedirs(out_dir, exist_ok=True)
-    tables = dump_se_curves(params, alpha_grid=alpha_grid, tau2_grid=tau2_grid,
-                            f_map_alpha=f_map_alpha)
+    tables = dump_se_curves(config.se_params, alpha_grid=config.alpha_grid,
+                            tau2_grid=config.tau2_grid, f_map_alpha=config.f_map_alpha)
     paths = write_curve_tables(tables, out_dir)
     dropped = sum(1 for row in tables.tau_star if row[2])
     for name, path in sorted(paths.items()):
@@ -87,11 +82,8 @@ def _cmd_se_curves(args):
     return _EXIT_OK
 
 
-def _cmd_min_lambda(args):
-    raw = _load_json(args.config)
-    params = SEParams.from_json(raw)
-    bracket = raw.get("lambda_bracket", [0.05, 2.0])
-    result = minimum_lambda(params, bracket)
+def _cmd_min_lambda(args, config):
+    result = minimum_lambda(config.se_params, config.lambda_bracket)
     print(f"lambda_opt = {result.lambda_opt:.6f}")
     print(f"mse_opt    = {result.mse_opt:.6f}")
     if not result.unimodal:
@@ -99,20 +91,16 @@ def _cmd_min_lambda(args):
     return _EXIT_OK
 
 
-def _cmd_check_instance(args):
+def _cmd_check_instance(args, config):
     if args.file:
         inst = load_instance(args.file)
-        delta = inst.delta
+    elif config is None:
+        raise ValueError("check-instance requires --config or --file")
     else:
-        raw = _load_json(args.config)
-        params = SEParams.from_json(raw)
-        N = int(raw["N_list"][0]) if "N_list" in raw else 2000
-        seeds = raw.get("seeds", [0])
-        ensemble = raw.get("ensemble", "gaussian")
-        inst = generate(params, N, ensemble, args.seed_base + int(seeds[0]))
-        delta = params.delta
-    sigma_max, sigma_min, ok = singular_edge_check(inst.A, delta)
-    sqrt_inv = 1.0 / np.sqrt(delta)
+        inst = generate(config.se_params, config.N_list[0], config.ensemble,
+                        args.seed_base + config.seeds[0])
+    sigma_max, sigma_min, ok = singular_edge_check(inst.A, inst.delta)
+    sqrt_inv = 1.0 / np.sqrt(inst.delta)
     norms = np.linalg.norm(inst.A, axis=0)
     print(f"instance: N={inst.N} n={inst.n} ensemble={inst.ensemble} seed={inst.seed}")
     print(f"sigma_max = {sigma_max:.6f} (limit {sqrt_inv + 1:.6f})")
@@ -128,43 +116,32 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=False, help="JSON config path")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--seed-base", type=int, default=0, help="offset added to every seed")
+    def flag(*names, **kwargs):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
 
-    p = sub.add_parser("sweep", parents=[common], help="run the full cell grid")
-    p.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
-    p.set_defaults(func=_cmd_sweep, needs_config=True)
-
-    p = sub.add_parser("se-curves", parents=[common], help="dump theory curves")
-    p.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
-    p.set_defaults(func=_cmd_se_curves, needs_config=True)
-
-    p = sub.add_parser("min-lambda", parents=[common], help="minimize predicted risk over the penalty")
-    p.set_defaults(func=_cmd_min_lambda, needs_config=True)
-
-    p = sub.add_parser("check-instance", parents=[common], help="sanity-check one instance")
-    p.add_argument("--file", default=None, help="saved instance container to check instead of generating")
-    p.set_defaults(func=_cmd_check_instance, needs_config=False)
+    config = flag("--config", required=True, help="JSON config path")
+    out = flag("--out", help="output directory (default: the config's out key)")
+    seed_base = flag("--seed-base", type=int, default=0, help="offset added to every seed")
+    gnuplot = flag("--gnuplot", action="store_true", help="also emit a plot script")
+    for name, func, text, flags in (
+            ("sweep", _cmd_sweep, "run the full cell grid", [config, out, seed_base, gnuplot]),
+            ("se-curves", _cmd_se_curves, "dump theory curves", [config, out, gnuplot]),
+            ("min-lambda", _cmd_min_lambda, "minimize predicted risk over the penalty", [config]),
+            ("check-instance", _cmd_check_instance, "sanity-check one instance",
+             [flag("--config", help="JSON config path (needed unless --file is given)"), seed_base,
+              flag("--file", help="saved instance container to check instead of generating")])):
+        sub.add_parser(name, parents=flags, help=text).set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.needs_config and not args.config:
-        print(f"error: {args.command} requires --config", file=sys.stderr)
-        return _EXIT_CONFIG
-    if args.command == "check-instance" and not (args.config or args.file):
-        print("error: check-instance requires --config or --file", file=sys.stderr)
-        return _EXIT_CONFIG
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except KeyError as exc:
-        print(f"error: missing config key {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        config = ExperimentConfig.from_json(_load_json(args.config)) if args.config else None
+        return args.func(args, config)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
 

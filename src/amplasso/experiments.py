@@ -19,7 +19,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -28,7 +28,7 @@ from . import lasso
 from ._version import __version__
 from .amp import run_amp
 from .errors import ConvergenceError
-from .instances import ENSEMBLES, empirical_observable, generate
+from .instances import ENSEMBLES, generate
 from .lasso import solve_lasso
 from .scalars import Prior
 from .state_evolution import SEParams, alpha_min, fixed_point, predicted_risk
@@ -45,7 +45,7 @@ def _is_int(v):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce a sweep, JSON round-trippable."""
+    """Every value the subcommands read from a config file, JSON round-trippable."""
 
     delta: float
     sigma2: float
@@ -60,6 +60,11 @@ class ExperimentConfig:
     lasso_tol: float = 1e-8
     lasso_max_iter: int = 50_000
     out: str = "results"
+    # read by se-curves (the two grids default to dump_se_curves' own) and min-lambda
+    alpha_grid: tuple | None = None
+    tau2_grid: tuple | None = None
+    f_map_alpha: float = 2.0
+    lambda_bracket: tuple = (0.05, 2.0)
 
     def __post_init__(self):
         self.se_params  # delta, sigma2 and the prior are checked by SEParams
@@ -93,44 +98,71 @@ class ExperimentConfig:
             raise ValueError(f"lasso_max_iter must be at least 1, got {self.lasso_max_iter}")
         if not self.lasso_tol > 0:
             raise ValueError(f"lasso_tol must be positive, got {self.lasso_tol}")
+        if not isinstance(self.out, str):
+            raise ValueError(f"out must be a string, got {self.out!r}")
+        if not self.f_map_alpha >= 0:
+            raise ValueError(f"f_map_alpha must be nonnegative, got {self.f_map_alpha}")
+        if self.tau2_grid is not None and not all(t2 > 0 for t2 in self.tau2_grid):
+            raise ValueError("tau2_grid values must be positive")
+        if len(self.lambda_bracket) != 2:
+            raise ValueError(f"lambda_bracket must have two entries, got {list(self.lambda_bracket)!r}")
 
     @property
     def se_params(self):
         return SEParams(delta=self.delta, sigma2=self.sigma2, prior=self.prior)
 
     def to_json(self):
-        return {
-            "delta": self.delta,
-            "sigma2": self.sigma2,
-            "prior": self.prior.to_json(),
-            "lambda_grid": list(self.lambda_grid),
-            "N_list": list(self.N_list),
-            "seeds": list(self.seeds),
-            "ensemble": self.ensemble,
-            "amp_t_max": self.amp_t_max,
-            "amp_stop_tol": self.amp_stop_tol,
-            "amp_policy": self.amp_policy,
-            "lasso_tol": self.lasso_tol,
-            "lasso_max_iter": self.lasso_max_iter,
-            "out": self.out,
-        }
-
-    # keys other subcommands read from the same config file
-    AUX_KEYS = frozenset({"alpha_grid", "tau2_grid", "f_map_alpha", "lambda_bracket"})
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["prior"] = self.prior.to_json()
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in obj.items()}
 
     @classmethod
     def from_json(cls, obj):
-        kwargs = {k: v for k, v in obj.items() if k not in cls.AUX_KEYS}
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(kwargs) - known)
+        """The one parser of a config file's JSON object.
+
+        Raises:
+            ValueError: the object is not a dict, has an unknown or missing
+                key, or a value of the wrong shape or range; the message
+                names the key.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        params = SEParams.from_json(obj)
-        kwargs.update(delta=params.delta, sigma2=params.sigma2, prior=params.prior)
-        kwargs["lambda_grid"] = tuple(float(v) for v in obj["lambda_grid"])
-        kwargs["N_list"] = tuple(obj["N_list"])
-        kwargs["seeds"] = tuple(obj["seeds"])
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+        if missing:
+            raise ValueError(f"missing config keys: {', '.join(missing)}")
+        kwargs = {}
+        for name, value in obj.items():
+            convert = _CONVERTERS.get(name)
+            try:
+                kwargs[name] = value if convert is None else convert(value)
+            except (TypeError, ValueError, KeyError) as exc:
+                raise ValueError(f"config key {name}: {exc}") from None
         return cls(**kwargs)
+
+
+def _items(values):
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list, got {values!r}")
+    return tuple(values)
+
+
+def _floats(values):
+    return tuple(float(v) for v in _items(values))
+
+
+def _floats_or_none(values):
+    return None if values is None else _floats(values)
+
+
+# from_json's shape conversions; other keys keep their JSON value and are
+# checked in ExperimentConfig.__post_init__
+_CONVERTERS = {"delta": float, "sigma2": float, "prior": Prior.from_json,
+               "lambda_grid": _floats, "N_list": _items, "seeds": _items,
+               "alpha_grid": _floats_or_none, "tau2_grid": _floats_or_none, "f_map_alpha": float,
+               "lambda_bracket": _floats}
 
 
 @dataclass
@@ -190,11 +222,11 @@ def _run_cell(config, inst, smax, lam, prediction, wall_time_generate):
     t3 = time.perf_counter()
     return ExperimentRecord(
         lam=lam, N=inst.N, seed=inst.seed, ensemble=config.ensemble,
-        mse_lasso=empirical_observable(sol.x_hat, inst.x0, "squared_error"),
-        mse_amp=empirical_observable(state.x, inst.x0, "squared_error"),
+        mse_lasso=float(np.mean((sol.x_hat - inst.x0) ** 2)),
+        mse_amp=float(np.mean((state.x - inst.x0) ** 2)),
         mse_predicted=prediction.mse_predicted,
         amp_lasso_gap=float(np.mean((state.x - sol.x_hat) ** 2)),
-        l1_lasso=empirical_observable(sol.x_hat, inst.x0, "l1"),
+        l1_lasso=float(np.mean(np.abs(sol.x_hat))),
         l1_predicted=prediction.l1_predicted,
         kkt_residual=sol.kkt_residual,
         wall_time_generate=wall_time_generate,

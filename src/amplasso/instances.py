@@ -95,27 +95,6 @@ def singular_edge_check(A, delta):
     return smax, smin, passed
 
 
-def empirical_observable(x_est, x0, psi_id):
-    """Empirical average of a named coordinate-wise observable.
-
-    psi_id one of: "squared_error" (mean squared deviation from x0),
-    "l1" (mean absolute value of the estimate), "support" (fraction of
-    nonzero estimate entries; note this indicator falls outside the
-    pseudo-Lipschitz class the asymptotic theory literally covers).
-    """
-    x_est = np.asarray(x_est, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if x_est.shape != x0.shape:
-        raise ValueError(f"length mismatch: {x_est.shape} vs {x0.shape}")
-    if psi_id == "squared_error":
-        return float(np.mean((x_est - x0) ** 2))
-    if psi_id == "l1":
-        return float(np.mean(np.abs(x_est)))
-    if psi_id == "support":
-        return float(np.mean(x_est != 0.0))
-    raise ValueError(f"unknown observable {psi_id!r}")
-
-
 def save_instance(instance, path):
     """Persist to the binary container: fixed header, then A, x0, w as
     row-major little-endian float64."""

@@ -46,12 +46,6 @@ class SEParams:
         if not isinstance(self.prior, Prior):
             raise ValueError("prior must be a Prior instance")
 
-    @classmethod
-    def from_json(cls, obj):
-        """From the delta, sigma2 and prior keys of a config object."""
-        return cls(delta=float(obj["delta"]), sigma2=float(obj["sigma2"]),
-                   prior=Prior.from_json(obj["prior"]))
-
     @property
     def tau2_init(self):
         """Starting point of the recursion: sigma^2 + E{X0^2}/delta."""

@@ -16,7 +16,7 @@ the certificate vanishes as the iteration converges.
 import numpy as np
 import pytest
 
-from amplasso.amp import run_amp
+from amplasso.amp import _ACTIVE_GAMMA, run_amp
 from amplasso.instances import generate, singular_edge_check
 from amplasso.lasso import solve_lasso, spectral_norm
 from amplasso.scalars import (Prior, cross_mse_functional, eta_prime_expectation,
@@ -76,8 +76,7 @@ def gaussian_cells(predictions):
             # negative stop_tol disables the iterate-change stop, so every
             # cell runs the full 100 steps even after an exact plateau
             state, diags = run_amp(inst, PARAMS, lam, t_max=100, stop_tol=-1.0,
-                                   threshold_policy="residual", gamma=0.1,
-                                   active_mask_sink=masks,
+                                   threshold_policy="residual", active_mask_sink=masks,
                                    alpha=predictions[lam].alpha)
             M = np.array([masks[t] for t in ts])
             sizes = M.sum(axis=1).astype(np.float64)
@@ -430,7 +429,7 @@ def test_criterion_14_active_set_stabilization(gaussian_cells, predictions):
         pred = predictions[lam]
         limit = eta_prime_expectation(PARAMS.prior,
                                       float(np.sqrt(pred.tau2_star)),
-                                      0.9 * pred.theta_star)
+                                      (1 - _ACTIVE_GAMMA) * pred.theta_star)
         avg = np.mean([c["s100_frac"] for c in gaussian_cells
                        if c["lam"] == lam])
         worst_rel = max(worst_rel, abs(avg - limit) / limit)

@@ -238,27 +238,6 @@ class TestActiveSet:
     def test_contains_support(self):
         inst = tiny_instance(15, N=400)
         sink = {}
-        state, _ = run_amp(inst, FIG4, 1.0, t_max=20, stop_tol=0.0, gamma=0.1,
-                           active_mask_sink=sink)
+        state, _ = run_amp(inst, FIG4, 1.0, t_max=20, stop_tol=0.0, active_mask_sink=sink)
         assert np.count_nonzero(state.x) > 0
         assert np.all(sink[state.t][state.x != 0.0])
-
-    def test_gamma_near_one_includes_everything_near_boundary(self):
-        inst = tiny_instance(16, N=200)
-        small, large = {}, {}
-        state, diag_small = run_amp(inst, FIG4, 1.1, t_max=10, stop_tol=0.0,
-                                    gamma=0.05, active_mask_sink=small)
-        _, diag_large = run_amp(inst, FIG4, 1.1, t_max=10, stop_tol=0.0,
-                                gamma=0.999, active_mask_sink=large)
-        # gamma only selects the mask, so both runs share their iterates
-        assert [d.theta for d in diag_small] == [d.theta for d in diag_large]
-        assert sorted(small) == sorted(large)
-        for t in small:
-            assert not np.any(small[t] & ~large[t])
-        assert np.count_nonzero(large[state.t]) >= np.count_nonzero(state.x)
-
-    def test_invalid_gamma(self):
-        inst = tiny_instance(17, N=100)
-        for g in (0.0, 1.0, -0.2, 1.4):
-            with pytest.raises(ValueError):
-                run_amp(inst, FIG4, 1.0, t_max=3, gamma=g)

@@ -11,15 +11,16 @@ from amplasso.state_evolution import SEParams
 from amplasso.scalars import get_preset
 
 
+SMALL = {
+    "delta": 0.64, "sigma2": 0.2, "prior": "three_point_0.064",
+    "lambda_grid": [0.8], "N_list": [120], "seeds": [0],
+    "ensemble": "gaussian", "amp_t_max": 40, "amp_policy": "residual",
+}
+
+
 def small_config(tmp_path, **overrides):
-    obj = {
-        "delta": 0.64, "sigma2": 0.2, "prior": "three_point_0.064",
-        "lambda_grid": [0.8], "N_list": [120], "seeds": [0],
-        "ensemble": "gaussian", "amp_t_max": 40, "amp_policy": "residual",
-    }
-    obj.update(overrides)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps({**SMALL, **overrides}))
     return str(path)
 
 
@@ -82,6 +83,62 @@ def test_invalid_value_rejected_before_output(tmp_path, patch):
     out = tmp_path / "run"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def _malformed(case_id, key, obj):
+    """A config file text whose error line must name `key`."""
+    return pytest.param(json.dumps(obj), key, id=case_id)
+
+
+MALFORMED = [
+    _malformed("prior-int", "prior", {**SMALL, "prior": 3}),
+    _malformed("top-level-list", "JSON object", [SMALL]),
+    _malformed("lambda_grid-scalar", "lambda_grid", {**SMALL, "lambda_grid": 0.8}),
+    _malformed("N_list-scalar", "N_list", {**SMALL, "N_list": 120}),
+    _malformed("N_list-fraction", "N_list", {**SMALL, "N_list": [400.7]}),
+    _malformed("lambda_bracket-one-entry", "lambda_bracket", {**SMALL, "lambda_bracket": [1.0]}),
+    _malformed("seeds-empty", "seeds", {**SMALL, "seeds": []}),
+    _malformed("seeds-missing", "seeds", {k: v for k, v in SMALL.items() if k != "seeds"}),
+    _malformed("lamda_bracket-misspelled", "lamda_bracket", {**SMALL, "lamda_bracket": [0.1, 2.0]}),
+    _malformed("alpah_grid-misspelled", "alpah_grid", {**SMALL, "alpah_grid": [1.0, 2.0]}),
+    _malformed("tau2_grid-zero", "tau2_grid", {**SMALL, "tau2_grid": [0.0, 1.0]}),
+    _malformed("f_map_alpha-negative", "f_map_alpha", {**SMALL, "f_map_alpha": -1.0}),
+    _malformed("out-int", "out", {**SMALL, "out": 5}),
+]
+
+
+@pytest.mark.parametrize("command", ["sweep", "se-curves", "min-lambda", "check-instance"])
+@pytest.mark.parametrize("text,key", MALFORMED)
+def test_malformed_config_rejected_before_output(tmp_path, capsys, command, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "run"
+    argv = [command, "--config", str(path)]
+    if command in ("sweep", "se-curves"):
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and key in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep"], ["se-curves"], ["min-lambda"],
+    ["min-lambda", "--config", "cfg.json", "--out", "run"],
+    ["min-lambda", "--config", "cfg.json", "--seed-base", "1"],
+    ["se-curves", "--config", "cfg.json", "--seed-base", "1"],
+    ["check-instance", "--config", "cfg.json", "--out", "run"],
+], ids=" ".join)
+def test_missing_or_unread_flag_exits_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_check_instance_requires_config_or_file(capsys):
+    assert cli.main(["check-instance"]) == 2
+    assert "--config or --file" in capsys.readouterr().err
 
 
 def test_unconverged_reference_solve_exit_code(tmp_path):

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +33,20 @@ class TestConfig:
     def test_json_round_trip_with_inline_prior(self):
         cfg = ExperimentConfig(
             delta=0.5, sigma2=0.1, prior=Prior((-1.0, 0.0), (0.2, 0.8)),
-            lambda_grid=(0.3,), N_list=(50,), seeds=(4,))
-        again = ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
-        assert again == cfg
+            lambda_grid=(0.3,), N_list=(50,), seeds=(4,), alpha_grid=(1.0, 2.5),
+            tau2_grid=(0.1, 0.3), f_map_alpha=1.5, lambda_bracket=(0.2, 1.0))
+        obj = json.loads(json.dumps(cfg.to_json()))
+        assert obj["alpha_grid"] == [1.0, 2.5] and obj["lambda_bracket"] == [0.2, 1.0]
+        assert ExperimentConfig.from_json(obj) == cfg
+        default = replace(cfg, alpha_grid=None, tau2_grid=None)
+        assert ExperimentConfig.from_json(json.loads(json.dumps(default.to_json()))) == default
+
+    def test_readme_config_block_loads(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert len(blocks) == 1
+        cfg = ExperimentConfig.from_json(json.loads(blocks[0]))
+        assert cfg.lambda_grid and cfg.N_list and cfg.seeds
 
     def test_from_json_with_preset_name(self):
         obj = SMALL.to_json()

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from amplasso.instances import (_HEADER_FMT, empirical_observable, generate,
-                                load_instance, save_instance, singular_edge_check)
+from amplasso.instances import (_HEADER_FMT, generate, load_instance, save_instance,
+                                singular_edge_check)
 from amplasso.scalars import get_preset
 from amplasso.state_evolution import SEParams
 
@@ -139,27 +139,3 @@ class TestPersistence:
         assert 0 < inst.delta < np.inf and 0 < inst.sigma2 < np.inf
         assert inst.A.shape == (n, N)
         assert inst.x0.shape == (N,) and inst.y.shape == (n,)
-
-
-class TestEmpiricalObservable:
-    def test_squared_error(self):
-        x = np.array([1.0, -2.0, 0.0])
-        assert empirical_observable(x, x, "squared_error") == 0.0
-        assert_allclose(empirical_observable(x, np.zeros(3), "squared_error"), 5.0 / 3.0)
-
-    def test_l1_of_estimate(self):
-        x = np.array([1.0, -2.0, 0.0])
-        assert empirical_observable(np.zeros(3), x, "l1") == 0.0
-        assert_allclose(empirical_observable(x, np.zeros(3), "l1"), 1.0)
-
-    def test_support_indicator(self):
-        est = np.array([0.5, 0.0, -0.1, 0.0])
-        assert_allclose(empirical_observable(est, est, "support"), 0.5)
-
-    def test_unknown_psi(self):
-        with pytest.raises(ValueError):
-            empirical_observable(np.zeros(2), np.zeros(2), "entropy")
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            empirical_observable(np.zeros(2), np.zeros(3), "l1")
