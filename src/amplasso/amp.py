@@ -90,21 +90,6 @@ class AmpDiagnostics:
     active_set_size: int
 
 
-DIAGNOSTICS_COLUMNS = ("t", "theta_t", "tau2_se", "z_norm2_over_n", "mse_vs_x0",
-                       "delta_x_norm", "subgradient_norm", "active_set_size")
-
-
-def write_diagnostics_csv(diagnostics, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DIAGNOSTICS_COLUMNS)
-        for d in diagnostics:
-            writer.writerow([d.t, d.theta, d.tau2_se, d.z_norm2_over_n, d.mse_vs_x0,
-                             d.delta_x_norm, d.subgradient_norm, d.active_set_size])
-
-
 def _boundary_coords(pre, x_new, theta):
     """v = (pre - x)/theta; +-1 exactly on the support, inside (-1,1) off it."""
     v = (pre - x_new) / theta

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .experiments import (ExperimentConfig, dump_se_curves, minimum_lambda,
+from .experiments import (RECORD_COLUMNS, ExperimentConfig, dump_se_curves, minimum_lambda,
                           run_sweep, write_curve_tables, write_records_csv)
 from .instances import generate, load_instance, singular_edge_check
 
@@ -48,11 +48,13 @@ def _cmd_sweep(args, config):
     print(f"wrote {len(records)} records to {csv_path} ({n_err} failed)")
     if args.gnuplot:
         gp = os.path.join(out_dir, "sweep.gp")
+        x, lasso, predicted = (RECORD_COLUMNS.index(name) + 1
+                               for name in ("lambda", "mse_lasso", "mse_predicted"))
         with open(gp, "w") as fh:
             fh.write('set datafile separator ","\n'
                      'set xlabel "lambda"\nset ylabel "MSE"\nset key top left\n'
-                     f'plot "{csv_path}" using 1:5 skip 1 with points title "lasso", \\\n'
-                     f'     "{csv_path}" using 1:7 skip 1 with lines title "predicted"\n')
+                     f'plot "{csv_path}" using {x}:{lasso} skip 1 with points title "lasso", \\\n'
+                     f'     "{csv_path}" using {x}:{predicted} skip 1 with lines title "predicted"\n')
         print(f"wrote {gp}")
     return _EXIT_FAILED_CELL if n_err else _EXIT_OK
 
@@ -110,6 +112,12 @@ def _cmd_check_instance(args, config):
     return _EXIT_OK if ok else _EXIT_FAILED_CELL
 
 
+def _seed_base(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="amplasso",
                                      description="Sparse-recovery sweeps: message passing vs reference solver vs theory.")
@@ -123,7 +131,7 @@ def build_parser():
 
     config = flag("--config", required=True, help="JSON config path")
     out = flag("--out", help="output directory (default: the config's out key)")
-    seed_base = flag("--seed-base", type=int, default=0, help="offset added to every seed")
+    seed_base = flag("--seed-base", type=_seed_base, default=0, help="offset added to every seed")
     gnuplot = flag("--gnuplot", action="store_true", help="also emit a plot script")
     for name, func, text, flags in (
             ("sweep", _cmd_sweep, "run the full cell grid", [config, out, seed_base, gnuplot]),

@@ -19,7 +19,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import MISSING, astuple, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -30,7 +30,7 @@ from .amp import run_amp
 from .errors import ConvergenceError
 from .instances import ENSEMBLES, generate
 from .lasso import solve_lasso
-from .scalars import Prior
+from .scalars import Prior, finite_float
 from .state_evolution import SEParams, alpha_min, fixed_point, predicted_risk
 
 # minimum_lambda: points of the coarse grid, and the Brent search's
@@ -39,73 +39,85 @@ _COARSE_POINTS = 17
 _SEARCH_REL_TOL = 1e-4
 
 
-def _is_int(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+def _integer(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _string(value):
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _list(item):
+    def parse(value):
+        if not isinstance(value, (list, tuple)) or len(value) == 0:
+            raise ValueError(f"expected a nonempty list, got {value!r}")
+        return tuple(item(v) for v in value)
+    return parse
+
+
+def _list_or_none(item):
+    parse = _list(item)
+    return lambda value: None if value is None else parse(value)
+
+
+def _prior(value):
+    return value if isinstance(value, Prior) else Prior.from_json(value)
+
+
+def _key(parse, in_range=None, demand="", default=MISSING):
+    """A config key with its one rule: `parse` checks the value's type (and
+    turns lists into tuples), then `in_range`, if given, checks the value
+    against what `demand` describes."""
+    return field(default=default, metadata={"rule": (parse, in_range, demand)})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every value the subcommands read from a config file, JSON round-trippable."""
+    """Every value the subcommands read from a config file, JSON round-trippable.
 
-    delta: float
-    sigma2: float
-    prior: Prior
-    lambda_grid: tuple
-    N_list: tuple
-    seeds: tuple
-    ensemble: str = "gaussian"
-    amp_t_max: int = 200
-    amp_stop_tol: float = 1e-8
-    amp_policy: str = "residual"
-    lasso_tol: float = 1e-8
-    lasso_max_iter: int = 50_000
-    out: str = "results"
+    Each field's rule runs in __post_init__, so from_json and construction
+    from Python check a key the same way.
+    """
+
+    delta: float = _key(finite_float)  # delta and sigma2 ranges: SEParams
+    sigma2: float = _key(finite_float)
+    prior: Prior = _key(_prior)
+    lambda_grid: tuple = _key(_list(finite_float), lambda v: min(v) > 0, "positive entries")
+    N_list: tuple = _key(_list(_integer), lambda v: min(v) >= 2, "entries >= 2")
+    seeds: tuple = _key(_list(_integer), lambda v: min(v) >= 0, "entries >= 0")
+    ensemble: str = _key(_string, lambda v: v in ENSEMBLES, f"one of {sorted(ENSEMBLES)}",
+                         default="gaussian")
+    amp_t_max: int = _key(_integer, lambda v: v >= 1, "at least 1", default=200)
+    amp_stop_tol: float = _key(finite_float, default=1e-8)
+    amp_policy: str = _key(_string, lambda v: v in ("se", "residual"), "'se' or 'residual'",
+                           default="residual")
+    lasso_tol: float = _key(finite_float, lambda v: v > 0, "a positive number", default=1e-8)
+    lasso_max_iter: int = _key(_integer, lambda v: v >= 1, "at least 1", default=50_000)
+    out: str = _key(_string, default="results")
     # read by se-curves (the two grids default to dump_se_curves' own) and min-lambda
-    alpha_grid: tuple | None = None
-    tau2_grid: tuple | None = None
-    f_map_alpha: float = 2.0
-    lambda_bracket: tuple = (0.05, 2.0)
+    alpha_grid: tuple | None = _key(_list_or_none(finite_float), default=None)
+    tau2_grid: tuple | None = _key(_list_or_none(finite_float),
+                                   lambda v: v is None or min(v) > 0, "positive entries",
+                                   default=None)
+    f_map_alpha: float = _key(finite_float, lambda v: v >= 0, "a nonnegative number", default=2.0)
+    lambda_bracket: tuple = _key(_list(finite_float), lambda v: len(v) == 2 and 0 < v[0] <= v[1],
+                                 "two entries with 0 < lo <= hi", default=(0.05, 2.0))
 
     def __post_init__(self):
-        self.se_params  # delta, sigma2 and the prior are checked by SEParams
-        for name in ("amp_t_max", "lasso_max_iter"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("N_list", "seeds"):
-            if not all(_is_int(v) for v in getattr(self, name)):
-                raise ValueError(f"{name} entries must be integers, got {list(getattr(self, name))!r}")
-        for name in ("amp_stop_tol", "lasso_tol"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {v!r}")
-        if len(self.lambda_grid) == 0:
-            raise ValueError("lambda_grid is empty")
-        if not all(lam > 0 for lam in self.lambda_grid):
-            raise ValueError("lambda values must be positive")
-        if len(self.N_list) == 0:
-            raise ValueError("N_list is empty")
-        if any(N < 2 for N in self.N_list):
-            raise ValueError("N values must be at least 2")
-        if len(self.seeds) == 0:
-            raise ValueError("seeds is empty")
-        if self.ensemble not in ENSEMBLES:
-            raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.amp_policy not in ("se", "residual"):
-            raise ValueError(f"unknown amp_policy {self.amp_policy!r}")
-        if self.amp_t_max < 1:
-            raise ValueError(f"amp_t_max must be at least 1, got {self.amp_t_max}")
-        if self.lasso_max_iter < 1:
-            raise ValueError(f"lasso_max_iter must be at least 1, got {self.lasso_max_iter}")
-        if not self.lasso_tol > 0:
-            raise ValueError(f"lasso_tol must be positive, got {self.lasso_tol}")
-        if not isinstance(self.out, str):
-            raise ValueError(f"out must be a string, got {self.out!r}")
-        if not self.f_map_alpha >= 0:
-            raise ValueError(f"f_map_alpha must be nonnegative, got {self.f_map_alpha}")
-        if self.tau2_grid is not None and not all(t2 > 0 for t2 in self.tau2_grid):
-            raise ValueError("tau2_grid values must be positive")
-        if len(self.lambda_bracket) != 2:
-            raise ValueError(f"lambda_bracket must have two entries, got {list(self.lambda_bracket)!r}")
+        for f in fields(self):
+            parse, in_range, demand = f.metadata["rule"]
+            try:
+                value = parse(getattr(self, f.name))
+            except ValueError as exc:
+                raise ValueError(f"config key {f.name}: {exc}") from None
+            if in_range is not None and not in_range(value):
+                raise ValueError(f"config key {f.name}: expected {demand}, got {value!r}")
+            object.__setattr__(self, f.name, value)
+        self.se_params  # raises on a delta or sigma2 out of range
 
     @property
     def se_params(self):
@@ -118,12 +130,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj):
-        """The one parser of a config file's JSON object.
+        """The one loader of a config file's JSON object.
 
         Raises:
             ValueError: the object is not a dict, has an unknown or missing
-                key, or a value of the wrong shape or range; the message
-                names the key.
+                key, or a value its field's rule rejects; the message names
+                the key.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
@@ -133,72 +145,39 @@ class ExperimentConfig:
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
         if missing:
             raise ValueError(f"missing config keys: {', '.join(missing)}")
-        kwargs = {}
-        for name, value in obj.items():
-            convert = _CONVERTERS.get(name)
-            try:
-                kwargs[name] = value if convert is None else convert(value)
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ValueError(f"config key {name}: {exc}") from None
-        return cls(**kwargs)
-
-
-def _items(values):
-    if not isinstance(values, (list, tuple)):
-        raise TypeError(f"expected a list, got {values!r}")
-    return tuple(values)
-
-
-def _floats(values):
-    return tuple(float(v) for v in _items(values))
-
-
-def _floats_or_none(values):
-    return None if values is None else _floats(values)
-
-
-# from_json's shape conversions; other keys keep their JSON value and are
-# checked in ExperimentConfig.__post_init__
-_CONVERTERS = {"delta": float, "sigma2": float, "prior": Prior.from_json,
-               "lambda_grid": _floats, "N_list": _items, "seeds": _items,
-               "alpha_grid": _floats_or_none, "tau2_grid": _floats_or_none, "f_map_alpha": float,
-               "lambda_bracket": _floats}
+        return cls(**obj)
 
 
 @dataclass
 class ExperimentRecord:
+    """One sweep.csv row; a measurement a failed cell did not reach stays nan."""
+
     lam: float
     N: int
     seed: int
     ensemble: str
-    mse_lasso: float
-    mse_amp: float
-    mse_predicted: float
-    amp_lasso_gap: float
-    l1_lasso: float
-    l1_predicted: float
-    kkt_residual: float
-    wall_time_generate: float
-    wall_time_lasso: float
-    wall_time_amp: float
+    mse_lasso: float = math.nan
+    mse_amp: float = math.nan
+    mse_predicted: float = math.nan
+    amp_lasso_gap: float = math.nan
+    l1_lasso: float = math.nan
+    l1_predicted: float = math.nan
+    kkt_residual: float = math.nan
+    wall_time_generate: float = math.nan
+    wall_time_lasso: float = math.nan
+    wall_time_amp: float = math.nan
     error: str = ""
 
 
 # the sweep.csv header: one name per ExperimentRecord field, in field order
-RECORD_COLUMNS = ("lambda", "N", "seed", "ensemble", "mse_lasso", "mse_amp",
-                  "mse_predicted", "amp_lasso_gap", "l1_lasso", "l1_predicted",
-                  "kkt_residual", "wall_time_generate", "wall_time_lasso",
-                  "wall_time_amp", "error")
+RECORD_COLUMNS = tuple("lambda" if f.name == "lam" else f.name for f in fields(ExperimentRecord))
 
 
 def _error_record(config, lam, N, seed, prediction, exc):
-    nan = float("nan")
     return ExperimentRecord(
         lam=lam, N=N, seed=seed, ensemble=config.ensemble,
-        mse_lasso=nan, mse_amp=nan, mse_predicted=prediction.mse_predicted,
-        amp_lasso_gap=nan, l1_lasso=nan, l1_predicted=prediction.l1_predicted,
-        kkt_residual=nan, wall_time_generate=nan, wall_time_lasso=nan,
-        wall_time_amp=nan, error=f"{type(exc).__name__}: {exc}")
+        mse_predicted=prediction.mse_predicted, l1_predicted=prediction.l1_predicted,
+        error=f"{type(exc).__name__}: {exc}")
 
 
 def _run_cell(config, inst, smax, lam, prediction, wall_time_generate):
@@ -272,19 +251,16 @@ def run_sweep(config, seed_base=0):
     return records
 
 
-def write_records_csv(records, csv_path, sidecar_path=None, config=None):
+def write_records_csv(records, csv_path, sidecar_path, config):
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
         writer.writerows(astuple(r) for r in records)
-    if sidecar_path is not None:
-        sidecar = {"version": __version__,
-                   "config": config.to_json() if config is not None else None,
-                   "n_records": len(records),
-                   "n_errors": sum(1 for r in records if r.error)}
-        with open(sidecar_path, "w") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+    sidecar = {"version": __version__, "config": config.to_json(),
+               "n_records": len(records), "n_errors": sum(1 for r in records if r.error)}
+    with open(sidecar_path, "w") as fh:
+        json.dump(sidecar, fh, indent=2)
+        fh.write("\n")
 
 
 @dataclass

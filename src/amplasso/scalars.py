@@ -10,6 +10,8 @@ piecewise-smooth one-dimensional function whose kink locations are known.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,26 +49,41 @@ def soft_threshold(x, theta):
     return float(out) if out.ndim == 0 else out
 
 
+def finite_float(value):
+    """`value` as a float, if it is a real, non-boolean, finite number.
+
+    Raises:
+        ValueError: for a string, a boolean, NaN, an infinity or a non-number.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Prior:
     """Finite discrete signal prior: atoms with probability weights.
 
-    Invariants checked at construction: weights nonnegative and summing to 1
-    within 1e-12, atoms finite and distinct.
+    Invariants checked at construction: atoms and weights are lists of
+    finite numbers (booleans and strings are not numbers), weights
+    nonnegative and summing to 1 within 1e-12, atoms distinct.
     """
 
     atoms: tuple
     weights: tuple
 
     def __post_init__(self):
-        atoms = tuple(float(a) for a in self.atoms)
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+        for name in ("atoms", "weights"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+            try:
+                object.__setattr__(self, name, tuple(finite_float(v) for v in values))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        atoms, weights = self.atoms, self.weights
         if len(atoms) == 0 or len(atoms) != len(weights):
             raise ValueError("atoms and weights must be nonempty and equal length")
-        if not all(np.isfinite(atoms)):
-            raise ValueError("atoms must be finite")
         if len(set(atoms)) != len(atoms):
             raise ValueError("atoms must be distinct")
         if min(weights) < 0:
@@ -100,7 +117,9 @@ class Prior:
         """A preset name or an inline {"atoms": [...], "weights": [...]} object."""
         if isinstance(obj, str):
             return get_preset(obj)
-        return cls(atoms=tuple(obj["atoms"]), weights=tuple(obj["weights"]))
+        if not (isinstance(obj, dict) and set(obj) == {"atoms", "weights"}):
+            raise ValueError(f'expected a preset name or {{"atoms": [...], "weights": [...]}}, got {obj!r}')
+        return cls(atoms=obj["atoms"], weights=obj["weights"])
 
 
 # named presets; "three_point_0.064" is the symmetric three-point prior

@@ -60,10 +60,6 @@ class SETrajectory:
     alpha: float
     tau2_star: float
 
-    @property
-    def theta_star(self):
-        return self.alpha * np.sqrt(self.tau2_star)
-
 
 @dataclass
 class TwoTimeCov:

@@ -7,8 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import amplasso.amp
-from amplasso.amp import (DIAGNOSTICS_COLUMNS, amp_step, initial_state, run_amp,
-                          write_diagnostics_csv)
+from amplasso.amp import amp_step, initial_state, run_amp
 from amplasso.errors import DivergenceError
 from amplasso.instances import generate
 from amplasso.lasso import solve_lasso
@@ -191,15 +190,6 @@ class TestRunAmp:
         run_amp(inst, FIG4, 1.0, t_max=5, stop_tol=0.0, active_mask_sink=sink)
         assert sorted(sink) == [1, 2, 3, 4, 5]
         assert all(m.shape == (200,) and m.dtype == bool for m in sink.values())
-
-    def test_diagnostics_csv(self, tmp_path):
-        inst = tiny_instance(10, N=150)
-        _, diag = run_amp(inst, FIG4, 1.0, t_max=4, stop_tol=0.0)
-        path = tmp_path / "diag.csv"
-        write_diagnostics_csv(diag, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(DIAGNOSTICS_COLUMNS)
-        assert len(lines) == 1 + len(diag)
 
 
 class TestSubgradientResidual:

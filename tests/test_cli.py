@@ -40,6 +40,8 @@ def test_sweep_gnuplot_flag(tmp_path):
     assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--gnuplot"]) == 0
     script = (out / "sweep.gp").read_text()
     assert "sweep.csv" in script
+    # lambda, mse_lasso and mse_predicted are sweep.csv's columns 1, 5 and 7
+    assert "using 1:5 " in script and "using 1:7 " in script
 
 
 def test_sweep_seed_base(tmp_path):
@@ -85,6 +87,9 @@ def test_invalid_value_rejected_before_output(tmp_path, patch):
     assert not out.exists()
 
 
+NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity
+
+
 def _malformed(case_id, key, obj):
     """A config file text whose error line must name `key`."""
     return pytest.param(json.dumps(obj), key, id=case_id)
@@ -104,6 +109,21 @@ MALFORMED = [
     _malformed("tau2_grid-zero", "tau2_grid", {**SMALL, "tau2_grid": [0.0, 1.0]}),
     _malformed("f_map_alpha-negative", "f_map_alpha", {**SMALL, "f_map_alpha": -1.0}),
     _malformed("out-int", "out", {**SMALL, "out": 5}),
+    _malformed("lasso_tol-infinity", "lasso_tol", {**SMALL, "lasso_tol": INF}),
+    _malformed("delta-string", "delta", {**SMALL, "delta": "0.64"}),
+    _malformed("sigma2-boolean", "sigma2", {**SMALL, "sigma2": True}),
+    _malformed("lambda_grid-string", "lambda_grid", {**SMALL, "lambda_grid": ["0.5"]}),
+    _malformed("prior-atoms-string-and-boolean", "prior", {**SMALL, "prior": {
+        "atoms": ["-1", 0, True], "weights": [0.064, 0.872, 0.064]}}),
+    _malformed("prior-weight-nan", "prior", {**SMALL, "prior": {
+        "atoms": [-1.0, 0.0, 1.0], "weights": [0.064, NAN, 0.064]}}),
+    _malformed("alpha_grid-nan", "alpha_grid", {**SMALL, "alpha_grid": [NAN]}),
+    _malformed("lambda_grid-infinity", "lambda_grid", {**SMALL, "lambda_grid": [INF]}),
+    _malformed("seeds-negative", "seeds", {**SMALL, "seeds": [-1]}),
+    _malformed("amp_stop_tol-nan", "amp_stop_tol", {**SMALL, "amp_stop_tol": NAN}),
+    _malformed("tau2_grid-infinity", "tau2_grid", {**SMALL, "tau2_grid": [INF]}),
+    _malformed("f_map_alpha-infinity", "f_map_alpha", {**SMALL, "f_map_alpha": INF}),
+    _malformed("lambda_bracket-reversed", "lambda_bracket", {**SMALL, "lambda_bracket": [2.0, 0.5]}),
 ]
 
 
@@ -134,6 +154,20 @@ def test_missing_or_unread_flag_exits_two(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["sweep", "check-instance"])
+def test_negative_seed_base_rejected_by_parser(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    argv = [command, "--config", small_config(tmp_path), "--seed-base", "-3"]
+    if command == "sweep":
+        argv += ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--seed-base" in captured.err
 
 
 def test_check_instance_requires_config_or_file(capsys):

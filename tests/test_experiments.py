@@ -27,6 +27,7 @@ SMALL = ExperimentConfig(
     amp_policy="residual", lasso_tol=1e-8)
 
 FIG4 = SMALL.se_params
+NAN, INF = float("nan"), float("inf")
 
 
 class TestConfig:
@@ -63,12 +64,29 @@ class TestConfig:
         {"lasso_max_iter": 2.5}, {"lasso_max_iter": "10"}, {"N_list": (120.5,)},
         {"seeds": (1.5,)}, {"seeds": (True,)}, {"amp_stop_tol": "x"},
         {"amp_stop_tol": None}, {"lasso_tol": "x"},
+        {"lasso_tol": INF}, {"delta": "0.64"}, {"sigma2": True}, {"lambda_grid": ("0.5",)},
+        {"prior": {"atoms": ["-1", 0, True], "weights": [0.064, 0.872, 0.064]}},
+        {"prior": {"atoms": [-1.0, 0.0, 1.0], "weights": [0.064, NAN, 0.064]}},
+        {"alpha_grid": (NAN,)}, {"lambda_grid": (INF,)}, {"seeds": (-1,)},
+        {"amp_stop_tol": NAN}, {"tau2_grid": (INF,)}, {"f_map_alpha": INF},
+        {"lambda_bracket": (2.0, 0.5)}, {"alpha_grid": ()}, {"tau2_grid": ()},
     ])
     def test_validation_rejects(self, patch):
         obj = SMALL.to_json()
         obj.update({k: list(v) if isinstance(v, tuple) else v for k, v in patch.items()})
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(obj)
+        with pytest.raises(ValueError):
+            replace(SMALL, **patch)
+
+    def test_integer_numbers_load_as_floats(self):
+        obj = {**SMALL.to_json(), "sigma2": 1, "f_map_alpha": 2}
+        loaded = ExperimentConfig.from_json(obj)
+        built = replace(SMALL, sigma2=1, f_map_alpha=2)
+        assert loaded == built
+        for cfg in (loaded, built):
+            assert type(cfg.sigma2) is float and type(cfg.f_map_alpha) is float
+            assert cfg.to_json()["sigma2"] == 1.0 and "\"f_map_alpha\": 2.0" in json.dumps(cfg.to_json())
 
 
 class TestRunSweep:
@@ -183,7 +201,10 @@ class TestCsvOutput:
         write_records_csv(records, csv_path, sidecar_path=side_path, config=SMALL)
         with open(csv_path) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0][0] == "lambda" and rows[0][-1] == "error"
+        assert rows[0] == ["lambda", "N", "seed", "ensemble", "mse_lasso", "mse_amp",
+                           "mse_predicted", "amp_lasso_gap", "l1_lasso", "l1_predicted",
+                           "kkt_residual", "wall_time_generate", "wall_time_lasso",
+                           "wall_time_amp", "error"]
         assert len(rows) == 1 + len(records)
         side = json.loads(side_path.read_text())
         assert side["n_records"] == 4 and side["n_errors"] == 0

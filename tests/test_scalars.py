@@ -72,6 +72,17 @@ class TestPrior:
         with pytest.raises(ValueError):
             Prior((1.0, 1.0), (0.5, 0.5))
 
+    @pytest.mark.parametrize("atoms,weights", [
+        ((-1.0, 0.0, 1.0), (0.064, float("nan"), 0.064)),
+        (("1", 0.0), (0.5, 0.5)),
+        ((0.0, 1.0), (True, False)),
+    ], ids=["nan-weight", "string-atom", "boolean-weight"])
+    def test_non_numbers_rejected(self, atoms, weights):
+        with pytest.raises(ValueError):
+            Prior(atoms, weights)
+        with pytest.raises(ValueError):
+            Prior.from_json({"atoms": list(atoms), "weights": list(weights)})
+
     def test_json_round_trip(self):
         again = Prior.from_json(SHIFTED.to_json())
         assert again == SHIFTED
