@@ -2,14 +2,14 @@
 
 A cell is one penalty on one random instance: solve it with the reference
 solver, run the message-passing iteration on it, and record both empirical
-risks next to the theoretical prediction. Cells are grouped by instance: each
-(N, seed) matrix is drawn and its spectral norm computed once, and every
+risks next to the theoretical prediction and the iterations each solver ran.
+Cells are grouped by instance: each (N, seed) matrix is drawn once and every
 penalty of the grid runs on it, so a cell's wall_time_generate is its
-instance's draw plus spectral norm, repeated on each of the instance's rows.
-A failure of the draw or of the spectral norm marks all of that instance's
-rows; a failure of one penalty marks only its own. Instances run one after
-another, each matrix product using every core through BLAS; the prediction
-(and with it AMP's threshold ratio) is computed once per lambda and shared.
+instance's draw, repeated on each of the instance's rows. A failure of the
+draw marks all of that instance's rows; a failure of one penalty marks only
+its own. Instances run one after another, each matrix product using every
+core through BLAS; the prediction (and with it AMP's threshold ratio) is
+computed once per lambda and shared.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import MISSING, astuple, dataclass, field, fields
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import lasso
 from ._version import __version__
 from .amp import run_amp
 from .errors import ConvergenceError
@@ -163,6 +162,9 @@ class ExperimentRecord:
     l1_lasso: float = math.nan
     l1_predicted: float = math.nan
     kkt_residual: float = math.nan
+    # ints on a solved row, nan on an error row
+    lasso_iterations: float = math.nan
+    amp_iterations: float = math.nan
     wall_time_generate: float = math.nan
     wall_time_lasso: float = math.nan
     wall_time_amp: float = math.nan
@@ -180,8 +182,8 @@ def _error_record(config, lam, N, seed, prediction, exc):
         error=f"{type(exc).__name__}: {exc}")
 
 
-def _run_cell(config, inst, smax, lam, prediction, wall_time_generate):
-    """One penalty on a drawn instance whose spectral norm is `smax`.
+def _run_cell(config, inst, lam, prediction, wall_time_generate):
+    """One penalty on a drawn instance.
 
     Raises:
         ConvergenceError: the reference solve stopped above its KKT tolerance,
@@ -189,7 +191,7 @@ def _run_cell(config, inst, smax, lam, prediction, wall_time_generate):
     """
     t1 = time.perf_counter()
     sol = solve_lasso(inst.A, inst.y, lam, tol=config.lasso_tol,
-                      max_iter=config.lasso_max_iter, smax=smax)
+                      max_iter=config.lasso_max_iter)
     if not sol.converged:
         raise ConvergenceError(
             f"reference solve stopped at KKT residual {sol.kkt_residual:.3e} "
@@ -208,6 +210,8 @@ def _run_cell(config, inst, smax, lam, prediction, wall_time_generate):
         l1_lasso=float(np.mean(np.abs(sol.x_hat))),
         l1_predicted=prediction.l1_predicted,
         kkt_residual=sol.kkt_residual,
+        lasso_iterations=sol.iterations,
+        amp_iterations=state.t,
         wall_time_generate=wall_time_generate,
         wall_time_lasso=t2 - t1,
         wall_time_amp=t3 - t2,
@@ -220,9 +224,6 @@ def _run_instance(config, N, seed, predictions):
     try:
         t0 = time.perf_counter()
         inst = generate(config.se_params, N, config.ensemble, seed)
-        # looked up on the module, so a wrapper installed on
-        # lasso.spectral_norm (a tracer, a test's counter) sees this call
-        smax = lasso.spectral_norm(inst.A)
         wall_time_generate = time.perf_counter() - t0
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return [_error_record(config, lam, N, seed, predictions[lam], exc)
@@ -230,8 +231,7 @@ def _run_instance(config, N, seed, predictions):
     records = []
     for lam in config.lambda_grid:
         try:
-            records.append(_run_cell(config, inst, smax, lam, predictions[lam],
-                                     wall_time_generate))
+            records.append(_run_cell(config, inst, lam, predictions[lam], wall_time_generate))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             records.append(_error_record(config, lam, N, seed, predictions[lam], exc))
     return records

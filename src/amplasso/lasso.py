@@ -17,8 +17,17 @@ conjugate-gradient step, like every FISTA step, costs one product with A and
 one with A^T, and both kinds count as iterations under one cap, so a solve
 of k iterations makes 2k products plus one per check.
 
-The step 1/sigma_max(A)^2 comes from a Lanczos (ARPACK) estimate of the
-largest singular value that is exact to rounding.
+The step is 1/L for a curvature estimate L that needs no spectral norm
+(the local test of Beck & Teboulle 2009, kept without retries). L starts at
+||A||_F^2 / min(n, N), a lower bound on sigma_max(A)^2, and each step d from
+the gradient point v to the new iterate is tested against it: the cost's
+smooth part is quadratic, so the step is a majorisation step exactly when
+||A d||^2 <= L ||d||^2, and A d = A x_new - A v is a difference of images the
+loop already holds. A step that fails the test is kept, L doubles for the
+steps after it and the momentum restarts, as after a cost increase. L can
+double at most ceil(log2(min(n, N))) times before it reaches sigma_max^2,
+after which no test fails, and the KKT certificate decides convergence
+either way. An all-zero A keeps step 1.
 """
 
 from __future__ import annotations
@@ -121,24 +130,26 @@ def _cg_finish(A, lam, tol, x, Ax, g, signs, budget):
     return x, Ax, steps, True
 
 
-def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, smax=None):
+def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000):
     """Solve the penalized problem to a KKT residual below tol.
 
-    Accelerated proximal gradient (momentum reset whenever the cost
-    increases) with step 1/sigma_max(A)^2, checking the KKT residual every
-    10 steps. When a check fails with the same signed support S, s as the
-    previous check and 0 < |S| < n, up to 9 conjugate-gradient steps on
-    A_S^T A_S x_S = A_S^T y - lambda s start from the checked iterate, and
-    FISTA continues from where they stop, so every check, and every
-    certificate, comes from a fresh gradient at a FISTA iterate. A signed
-    support whose finish reached the tolerance or flipped a sign is not
-    solved on again; one that ran out of steps is, from the next check.
+    Accelerated proximal gradient with step 1/L, L the curvature estimate of
+    the module docstring: it starts at ||A||_F^2 / min(n, N) and doubles
+    after each step with ||A d||^2 > L ||d||^2, and the momentum resets
+    after such a step and whenever the cost increases. The KKT residual is
+    checked every 10 steps. When a check fails with the same signed support
+    S, s as the previous check and 0 < |S| < n, up to 9 conjugate-gradient
+    steps on A_S^T A_S x_S = A_S^T y - lambda s start from the checked
+    iterate, and FISTA continues from where they stop, so every check, and
+    every certificate, comes from a fresh gradient at a FISTA iterate. A
+    signed support whose finish reached the tolerance or flipped a sign is
+    not solved on again; one that ran out of steps is, from the next check.
 
     `iterations` counts FISTA and conjugate-gradient steps, each two
-    products with A, under one max_iter. `smax` is sigma_max(A) when the
-    caller already holds it (several penalties on one matrix); otherwise it
-    is computed here. If max_iter is exhausted the last iterate is returned
-    with converged=False.
+    products with A, under one max_iter; with one product per check and one
+    for the returned cost, a solve makes 2 iterations + checks + 1 products.
+    If max_iter is exhausted the last iterate is returned with
+    converged=False.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -146,14 +157,13 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, smax=None):
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if smax is not None and not (np.isfinite(smax) and smax >= 0):
-        raise ValueError(f"smax must be finite and nonnegative, got {smax}")
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     n, N = A.shape
-    if smax is None:
-        smax = spectral_norm(A)
-    step = 1.0 / (smax * smax) if smax > 0 else 1.0
+    # ||A||_F^2 is the sum of at most min(n, N) squared singular values; the
+    # norm of a C-contiguous array reads a raveled view, so A is not copied
+    lip = float(np.linalg.norm(A)) ** 2 / min(n, N)
+    step = 1.0 / lip if lip > 0 else 1.0
 
     x = np.zeros(N)
     x_prev = x
@@ -173,9 +183,14 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, smax=None):
         g = A.T @ (Av - y)
         x_new = soft_threshold(v - step * g, step * lam)
         Ax_new = A @ x_new
+        d, Ad = x_new - v, Ax_new - Av
+        curved = float(np.dot(Ad, Ad)) > lip * float(np.dot(d, d))
+        if curved:
+            lip *= 2.0
+            step = 1.0 / lip
         r = y - Ax_new
         cost = 0.5 * float(np.dot(r, r)) + lam * float(np.sum(np.abs(x_new)))
-        if cost > cost_prev:
+        if curved or cost > cost_prev:
             tk = tk_prev = 1.0
         else:
             tk_prev, tk = tk, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))

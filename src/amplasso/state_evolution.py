@@ -201,12 +201,28 @@ def invert_calibration(params, lam):
         ValueError: lam <= 0.
         ConvergenceError: upper bracket exceeded 1e6 (pathological params).
     """
+    return _calibrated(params, lam)[0]
+
+
+def _calibrated(params, lam):
+    """(alpha, tau*^2 at alpha) for invert_calibration's root alpha.
+
+    The fixed point is solved once per alpha: Brent's method evaluates both
+    bracket ends again, and its root is a point it has evaluated, so those
+    calls, and the caller's tau*^2, come from the memo.
+    """
     if not (lam > 0 and np.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     amin = alpha_min(params.delta)
+    memo = {}
+
+    def tau2_at(alpha):
+        if alpha not in memo:
+            memo[alpha] = fixed_point(params, alpha).tau2_star
+        return memo[alpha]
 
     def excess(alpha):
-        return calibrate_lambda(params, alpha) - lam
+        return _penalty_at(params, alpha, tau2_at(alpha)) - lam
 
     d = 1.0
     if excess(amin + d) > 0.0:
@@ -220,7 +236,8 @@ def invert_calibration(params, lam):
                 raise ConvergenceError(
                     f"no alpha <= {_ALPHA_CAP:g} reaches lambda={lam}; parameters look pathological"
                 )
-    return float(brentq(excess, amin + d, amin + 2.0 * d, xtol=1e-15, rtol=8.9e-16))
+    alpha = float(brentq(excess, amin + d, amin + 2.0 * d, xtol=1e-15, rtol=8.9e-16))
+    return alpha, tau2_at(alpha)
 
 
 @dataclass
@@ -239,8 +256,8 @@ class PredictionBundle:
 def predicted_risk(params, lam):
     """Asymptotic MSE and companion observables of the penalized estimate.
 
-    Computes alpha = invert_calibration(lam), the fixed point tau*^2, and the
-    predicted MSE by both available expressions: the direct expectation
+    Computes alpha = invert_calibration(lam) with its fixed point tau*^2,
+    and the predicted MSE by both available expressions: the direct expectation
     E{[eta(X0 + tau* Z; theta*) - X0]^2} and delta (tau*^2 - sigma^2). The two
     must agree to 1e-10 (they are the same number by the fixed-point
     equation); the bundle also carries E{|eta|} and E{eta'}.
@@ -251,9 +268,7 @@ def predicted_risk(params, lam):
     """
     if params.prior.nonzero_mass <= 0.0:
         raise ValueError("predicted_risk requires P{X0 != 0} > 0")
-    alpha = invert_calibration(params, lam)
-    traj = fixed_point(params, alpha)
-    tau2 = traj.tau2_star
+    alpha, tau2 = _calibrated(params, lam)
     tau = float(np.sqrt(tau2))
     theta = alpha * tau
     mse_direct = mse_functional(params.prior, tau, theta)

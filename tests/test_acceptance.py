@@ -18,7 +18,7 @@ import pytest
 
 from amplasso.amp import _ACTIVE_GAMMA, run_amp
 from amplasso.instances import generate, singular_edge_check
-from amplasso.lasso import solve_lasso, spectral_norm
+from amplasso.lasso import solve_lasso
 from amplasso.scalars import (Prior, cross_mse_functional, eta_prime_expectation,
                               get_preset, mse_functional, soft_threshold)
 from amplasso.state_evolution import (SEParams, alpha_min, calibrate_lambda,
@@ -59,18 +59,17 @@ def gaussian_cells(predictions):
     """LASSO + AMP on every (lambda, seed) cell of the reproduction grid.
 
     Keeps scalars only: the per-seed matrices are 20 MB each and transient;
-    each is drawn once and its spectral norm shared by all penalties, as the
-    sweep harness does. AMP runs the residual threshold policy for 100 steps
-    with no early stop, which is the configuration the sweep harness uses
-    against the per-instance optimum.
+    each is drawn once and shared by all penalties, as the sweep harness
+    does. AMP runs the residual threshold policy for 100 steps with no early
+    stop, which is the configuration the sweep harness uses against the
+    per-instance optimum.
     """
     cells = []
     ts = np.arange(30, 101)
     for seed in SEEDS:
         inst = generate(PARAMS, N_CELLS, "gaussian", seed)
-        smax = spectral_norm(inst.A)
         for lam in LAMBDAS:
-            sol = solve_lasso(inst.A, inst.y, lam, tol=1e-8, smax=smax)
+            sol = solve_lasso(inst.A, inst.y, lam, tol=1e-8)
             assert sol.converged
             masks = {}
             # negative stop_tol disables the iterate-change stop, so every
@@ -102,9 +101,8 @@ def rademacher_mse():
     out = {lam: [] for lam in LAMBDAS}
     for seed in SEEDS:
         inst = generate(PARAMS, N_CELLS, "rademacher", seed)
-        smax = spectral_norm(inst.A)
         for lam in LAMBDAS:
-            sol = solve_lasso(inst.A, inst.y, lam, tol=1e-8, smax=smax)
+            sol = solve_lasso(inst.A, inst.y, lam, tol=1e-8)
             assert sol.converged
             out[lam].append(float(np.mean((sol.x_hat - inst.x0) ** 2)))
     return out

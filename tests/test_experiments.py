@@ -142,6 +142,7 @@ class TestRunSweep:
         assert len(failed) == 2
         assert all("boom" in r.error for r in failed)
         assert all(np.isnan(r.mse_lasso) for r in failed)
+        assert all(np.isnan(r.lasso_iterations) and np.isnan(r.amp_iterations) for r in failed)
         assert all(r.error == "" for r in records if r.lam == 1.2)
 
 
@@ -161,8 +162,9 @@ class TestRunSweep:
                             counted("invert_calibration", amplasso.amp.invert_calibration))
         records = run_sweep(replace(SMALL, N_list=(120, 150)))
         assert len(records) == 8 and all(r.error == "" for r in records)
-        # 2 sizes x 2 seeds; AMP takes alpha from the shared prediction
-        assert calls == {"generate": 4, "spectral_norm": 4, "invert_calibration": 0}
+        # 2 sizes x 2 seeds; the solver sizes its own step, and AMP takes
+        # alpha from the shared prediction
+        assert calls == {"generate": 4, "spectral_norm": 0, "invert_calibration": 0}
         # each instance's draw time is shared by all of its penalties
         for N in (120, 150):
             for seed in SMALL.seeds:
@@ -187,10 +189,13 @@ class TestRunSweep:
             if r.seed == 1:
                 assert r.error == "RuntimeError: no draw"
                 assert np.isnan(r.mse_lasso) and np.isnan(r.wall_time_generate)
+                assert np.isnan(r.lasso_iterations) and np.isnan(r.amp_iterations)
                 assert np.isfinite(r.mse_predicted)
             else:
                 assert r.error == ""
                 assert np.isfinite(r.mse_lasso) and np.isfinite(r.mse_amp)
+                assert type(r.lasso_iterations) is int and r.lasso_iterations >= 1
+                assert type(r.amp_iterations) is int and 1 <= r.amp_iterations <= SMALL.amp_t_max
 
 
 class TestCsvOutput:
@@ -203,7 +208,8 @@ class TestCsvOutput:
             rows = list(csv.reader(fh))
         assert rows[0] == ["lambda", "N", "seed", "ensemble", "mse_lasso", "mse_amp",
                            "mse_predicted", "amp_lasso_gap", "l1_lasso", "l1_predicted",
-                           "kkt_residual", "wall_time_generate", "wall_time_lasso",
+                           "kkt_residual", "lasso_iterations", "amp_iterations",
+                           "wall_time_generate", "wall_time_lasso",
                            "wall_time_amp", "error"]
         assert len(rows) == 1 + len(records)
         side = json.loads(side_path.read_text())

@@ -91,7 +91,7 @@ class TestConjugateGradientFinish:
     def test_wrong_settled_support_falls_back_to_fista(self, finishes):
         # FISTA's first settled support here misses a coordinate: conjugate
         # gradients solve on it to tol, and the check after the block rejects it
-        A, y = small_instance(11)
+        A, y = small_instance(0)
         lam, tol = 0.02, 1e-11
         sol = solve_lasso(A, y, lam, tol=tol)
         signs, _, x_cg, _, settled = finishes[0]
@@ -146,6 +146,79 @@ class TestConjugateGradientFinish:
         assert_fresh_certificate(A, y, short, 0.05, 1e-11)
 
 
+class CountingArray(np.ndarray):
+    """Counts the matrix products that involve it; results are plain arrays."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingArray.products += 1
+        inputs = [a.view(np.ndarray) if isinstance(a, CountingArray) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class _KeepSubclass:
+    """numpy namespace whose asarray keeps ndarray subclasses."""
+
+    def __getattr__(self, name):
+        return np.asanyarray if name == "asarray" else getattr(np, name)
+
+
+class TestStepEstimate:
+    @pytest.mark.parametrize("max_iter", [50_000, 25])
+    def test_products_two_per_step_one_per_check(
+            self, monkeypatch, finishes, max_iter):
+        # the curvature test reuses the images the step already computed, so
+        # a doubling of the estimate (this solve doubles it within its first
+        # 25 steps) costs no product
+        monkeypatch.setattr(lasso, "np", _KeepSubclass())
+        checks = []
+        real = lasso._kkt_violation
+        monkeypatch.setattr(lasso, "_kkt_violation",
+                            lambda g, x, lam: checks.append(1) or real(g, x, lam))
+        A, y = small_instance(2, n=20, N=40, k=5)
+        CountingArray.products = 0
+        sol = solve_lasso(A.view(CountingArray), y, 0.05, tol=1e-11, max_iter=max_iter)
+        assert sol.converged == (max_iter == 50_000) == (sol.iterations < max_iter)
+        assert CountingArray.products == 2 * sol.iterations + len(checks) + 1
+        # one check per 10 steps, and one at the cap
+        assert len(checks) == sol.iterations // 10 + (sol.iterations % 10 != 0)
+        if max_iter == 50_000:
+            assert sum(steps for *_, steps, _ in finishes) > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rademacher_and_tall_matrices_match_the_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        x0 = np.zeros(30)
+        x0[:4] = rng.normal(size=4)
+        for A in (rng.choice([-1.0, 1.0], size=(20, 30)) / np.sqrt(20),
+                  rng.normal(size=(45, 30)) / np.sqrt(45)):
+            y = A @ x0 + 0.1 * rng.normal(size=A.shape[0])
+            sol = solve_lasso(A, y, 0.05, tol=1e-11)
+            assert sol.converged
+            assert_fresh_certificate(A, y, sol, 0.05, 1e-11)
+            assert np.max(np.abs(sol.x_hat - coordinate_descent(A, y, 0.05))) < 1e-8
+
+    def test_duplicated_column_reaches_the_certificate(self):
+        # rank deficient: the minimiser is not unique, its fit A x and cost are
+        A, y = small_instance(4, n=20, N=40, k=5)
+        A[:, 7] = A[:, 3]
+        sol = solve_lasso(A, y, 0.05, tol=1e-11)
+        assert sol.converged
+        assert_fresh_certificate(A, y, sol, 0.05, 1e-11)
+        oracle = coordinate_descent(A, y, 0.05)
+        assert np.max(np.abs(A @ sol.x_hat - A @ oracle)) < 1e-8
+        assert sol.cost <= lasso_cost(A, y, oracle, 0.05) + 1e-12
+
+    def test_zero_matrix_gives_zero_at_once(self):
+        A, y = np.zeros((8, 10)), small_instance(1)[1]
+        sol = solve_lasso(A, y, 0.1)
+        assert sol.converged and sol.kkt_residual == 0.0
+        assert np.all(sol.x_hat == 0.0)
+        assert sol.iterations == 10
+
+
 class TestOptimalityStructure:
     def test_large_penalty_gives_exact_zero(self):
         A, y = small_instance(3)
@@ -186,9 +259,8 @@ class TestHelpers:
         rng = np.random.default_rng(2)
         A = rng.normal(size=(40, 60))
         assert_allclose(spectral_norm(A), np.linalg.svd(A, compute_uv=False)[0], rtol=1e-8)
-        # the shape of the README instances in both ensembles, where the step
-        # 1/sigma_max^2 must not exceed 1/L; Lanczos is exact to rounding
-        # here, so a looser ARPACK stop would show
+        # the shape of the README instances in both ensembles; Lanczos is
+        # exact to rounding here, so a looser ARPACK stop would show
         for seed in range(3):
             rng_A = np.random.default_rng(seed)
             for A in (rng_A.normal(size=(1280, 2000)),
@@ -219,20 +291,6 @@ class TestHelpers:
         A, y = small_instance(1)
         with pytest.raises(ValueError):
             solve_lasso(A, y, -0.5)
-
-    def test_given_spectral_norm_gives_the_same_solution(self):
-        A, y = small_instance(7)
-        plain = solve_lasso(A, y, 0.1, tol=1e-10)
-        given = solve_lasso(A, y, 0.1, tol=1e-10, smax=spectral_norm(A))
-        assert np.array_equal(plain.x_hat, given.x_hat)
-        assert plain.iterations == given.iterations
-        assert plain.kkt_residual == given.kkt_residual
-
-    @pytest.mark.parametrize("smax", [-1.0, float("nan"), float("inf")])
-    def test_invalid_spectral_norm(self, smax):
-        A, y = small_instance(1)
-        with pytest.raises(ValueError):
-            solve_lasso(A, y, 0.1, smax=smax)
 
     def test_invalid_max_iter(self):
         A, y = small_instance(1)
