@@ -18,11 +18,11 @@ import csv
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import MISSING, astuple, dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ._version import __version__
 from .amp import run_amp
@@ -30,7 +30,7 @@ from .errors import ConvergenceError
 from .instances import ENSEMBLES, generate
 from .lasso import solve_lasso
 from .scalars import Prior, finite_float
-from .state_evolution import SEParams, alpha_min, fixed_point, predicted_risk
+from .state_evolution import SEParams, _penalty_at, alpha_min, fixed_point, predicted_risk, se_map
 
 # minimum_lambda: points of the coarse grid, and the Brent search's
 # absolute x tolerance as a fraction of max(1, lambda)
@@ -284,8 +284,6 @@ def dump_se_curves(params, alpha_grid=None, tau2_grid=None, f_map_alpha=2.0):
     (default 2.0); the second and third trace the fixed point tau*(alpha)
     and the calibrated penalty lambda(alpha) over alpha_grid.
     """
-    from .state_evolution import _penalty_at, se_map
-
     if alpha_grid is None:
         lo = alpha_min(params.delta)
         alpha_grid = np.linspace(lo + 0.05, 4.0, 80)
@@ -312,8 +310,6 @@ def dump_se_curves(params, alpha_grid=None, tau2_grid=None, f_map_alpha=2.0):
 
 
 def write_curve_tables(tables, out_dir):
-    import os
-
     paths = {}
     spec = [("f_map.csv", ("tau2", "f_value"), tables.f_map),
             ("tau_star.csv", ("alpha", "tau_star", "warning"), tables.tau_star),
@@ -360,6 +356,9 @@ def minimum_lambda(params, lambda_bracket):
     changes = int(np.count_nonzero(np.diff(diffs[diffs != 0])))
     if changes > 1:
         return MinimumLambdaResult(float(grid[k]), vals[k], False)
+
+    # imported here so that the other subcommands start without loading SciPy
+    from scipy.optimize import minimize_scalar
 
     a = float(grid[max(k - 1, 0)])
     b = float(grid[min(k + 1, _COARSE_POINTS - 1)])

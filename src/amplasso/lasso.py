@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import svds
 
 from .scalars import soft_threshold
 
@@ -88,6 +87,9 @@ def spectral_norm(A):
     ARPACK needs min(A.shape) >= 2 and a nonzero A; otherwise A has rank at
     most one and its Frobenius norm is its spectral norm.
     """
+    # imported here so that importing the solver does not load SciPy
+    from scipy.sparse.linalg import svds
+
     if min(A.shape) < 2 or not A.any():
         return float(np.linalg.norm(A))
     v0 = np.random.default_rng(0x5EED).standard_normal(min(A.shape))

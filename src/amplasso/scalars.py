@@ -15,9 +15,9 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT1_2 = math.sqrt(0.5)
 
 # nodes/weights for the piecewise Gauss-Legendre rule used by
 # cross_mse_functional; 64 points per smooth panel is far past the
@@ -30,6 +30,26 @@ def gaussian_pdf(x):
     """Standard Gaussian density phi(x)."""
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / _SQRT_2PI
+
+
+def _ndtr_scalar(x):
+    u = x * _SQRT1_2
+    if -_SQRT1_2 < u < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(u)
+    tail = 0.5 * math.erfc(abs(u))
+    return 1.0 - tail if u > 0 else tail
+
+
+def _ndtr(x):
+    """Standard Gaussian CDF Phi(x), elementwise; a scalar or an array of x's shape.
+
+    Cephes' split: with u = x / sqrt(2), 0.5 + 0.5 erf(u) for |u| < 1/sqrt(2),
+    else the tail 0.5 erfc(|u|), taken as 1 - tail for u > 0, so the lower
+    tail keeps its relative accuracy far below -1.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.fromiter(map(_ndtr_scalar, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return out[()] if out.ndim == 0 else out
 
 
 def soft_threshold(x, theta):
@@ -167,9 +187,11 @@ def mse_functional(prior, tau, theta):
     a = prior.atoms_arr
     cp = (theta - a) / tau
     d = (theta + a) / tau
-    upper = tau**2 * (ndtr(-cp) + cp * gaussian_pdf(cp)) - 2 * tau * theta * gaussian_pdf(cp) + theta**2 * ndtr(-cp)
-    lower = tau**2 * (ndtr(-d) + d * gaussian_pdf(d)) - 2 * tau * theta * gaussian_pdf(d) + theta**2 * ndtr(-d)
-    dead = a * a * (ndtr(cp) - ndtr(-d))
+    tail_cp, tail_d = _ndtr(-cp), _ndtr(-d)
+    pdf_cp, pdf_d = gaussian_pdf(cp), gaussian_pdf(d)
+    upper = tau**2 * (tail_cp + cp * pdf_cp) - 2 * tau * theta * pdf_cp + theta**2 * tail_cp
+    lower = tau**2 * (tail_d + d * pdf_d) - 2 * tau * theta * pdf_d + theta**2 * tail_d
+    dead = a * a * (_ndtr(cp) - tail_d)
     return float(np.dot(prior.weights_arr, upper + lower + dead))
 
 
@@ -181,7 +203,7 @@ def eta_prime_expectation(prior, tau, theta):
     """
     _check_tau_theta(tau, theta)
     a = prior.atoms_arr
-    val = ndtr((a - theta) / tau) + ndtr((-a - theta) / tau)
+    val = _ndtr((a - theta) / tau) + _ndtr((-a - theta) / tau)
     return float(np.dot(prior.weights_arr, val))
 
 
@@ -195,7 +217,7 @@ def l1_expectation(prior, tau, theta):
     a = prior.atoms_arr
     cp = (theta - a) / tau
     cm = (-theta - a) / tau
-    val = (a - theta) * ndtr(-cp) + tau * gaussian_pdf(cp) - (a + theta) * ndtr(cm) + tau * gaussian_pdf(cm)
+    val = (a - theta) * _ndtr(-cp) + tau * gaussian_pdf(cp) - (a + theta) * _ndtr(cm) + tau * gaussian_pdf(cm)
     return float(np.dot(prior.weights_arr, val))
 
 
@@ -209,7 +231,7 @@ def _eta_mean(mean, sd, theta):
     mean = np.asarray(mean, dtype=float)
     cp = (theta - mean) / sd
     cm = (-theta - mean) / sd
-    return (mean - theta) * ndtr(-cp) + sd * gaussian_pdf(cp) + (mean + theta) * ndtr(cm) - sd * gaussian_pdf(cm)
+    return (mean - theta) * _ndtr(-cp) + sd * gaussian_pdf(cp) + (mean + theta) * _ndtr(cm) - sd * gaussian_pdf(cm)
 
 
 def eta_times_signal_expectation(prior, tau, theta):

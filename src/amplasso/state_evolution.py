@@ -8,15 +8,15 @@ recursion used for convergence diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from .errors import ConsistencyError, ConvergenceError
 from .scalars import (
     Prior,
+    _ndtr,
     cross_mse_functional,
     eta_prime_expectation,
     eta_times_signal_expectation,
@@ -28,6 +28,9 @@ from .scalars import (
 _FP_REL_TOL = 1e-12
 _FP_MAX_ITER = 100_000
 _ALPHA_CAP = 1e6
+_ROOT_XTOL = 1e-15
+_ROOT_RTOL = 8.9e-16
+_ROOT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,62 @@ def se_map(params, tau2, theta):
     return params.sigma2 + mse_functional(params.prior, float(np.sqrt(tau2)), theta) / params.delta
 
 
+def _brent_root(f, a, b):
+    """A root of f in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    Each step takes an inverse quadratic interpolation through the last
+    three points (a secant step when two of them coincide) if it is short
+    enough to be trusted, else a bisection; the root is held between the
+    current point and a "blk" point of opposite sign. Stops when f is 0 or
+    the bracket's half width falls below (1e-15 + 8.9e-16 |x|) / 2, and
+    returns the point of smaller |f|, one the search has evaluated.
+
+    Raises:
+        ValueError: f(a) and f(b) have the same sign.
+        ConvergenceError: no convergence in 100 steps.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"f({a}) = {fpre} and f({b}) = {fcur} do not bracket a root")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        tol = 0.5 * (_ROOT_XTOL + _ROOT_RTOL * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < tol:
+            return float(xcur)
+        if abs(spre) > tol and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - tol):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > tol else math.copysign(tol, sbis)
+        fcur = f(xcur)
+    raise ConvergenceError(f"Brent's method did not converge in {_ROOT_MAX_ITER} steps on [{a}, {b}]")
+
+
 def _edge_gap(alpha, delta):
     """(1 + a^2) Phi(-a) - a phi(a) - delta/2, the root function of alpha_min."""
-    return (1.0 + alpha * alpha) * ndtr(-alpha) - alpha * gaussian_pdf(alpha) - 0.5 * delta
+    return (1.0 + alpha * alpha) * _ndtr(-alpha) - alpha * gaussian_pdf(alpha) - 0.5 * delta
 
 
 def alpha_min(delta):
@@ -96,7 +152,7 @@ def alpha_min(delta):
     hi = 1.0
     while _edge_gap(hi, delta) > 0.0:
         hi *= 2.0
-    return float(brentq(_edge_gap, 0.0, hi, args=(delta,), xtol=1e-15, rtol=8.9e-16))
+    return _brent_root(lambda alpha: _edge_gap(alpha, delta), 0.0, hi)
 
 
 def fixed_point(params, alpha, tau2_init=None):
@@ -163,7 +219,7 @@ def se_derivative(params, tau2, alpha):
     a = params.prior.atoms_arr
     u = (a - alpha * tau) / tau
     v = (-a - alpha * tau) / tau
-    per_atom = (1.0 + alpha * alpha) * (ndtr(u) + ndtr(v)) - (
+    per_atom = (1.0 + alpha * alpha) * (_ndtr(u) + _ndtr(v)) - (
         (a / tau + alpha) * gaussian_pdf(u) - (a / tau - alpha) * gaussian_pdf(v)
     )
     return float(np.dot(params.prior.weights_arr, per_atom)) / params.delta
@@ -236,7 +292,7 @@ def _calibrated(params, lam):
                 raise ConvergenceError(
                     f"no alpha <= {_ALPHA_CAP:g} reaches lambda={lam}; parameters look pathological"
                 )
-    alpha = float(brentq(excess, amin + d, amin + 2.0 * d, xtol=1e-15, rtol=8.9e-16))
+    alpha = _brent_root(excess, amin + d, amin + 2.0 * d)
     return alpha, tau2_at(alpha)
 
 

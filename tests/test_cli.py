@@ -1,9 +1,13 @@
 """Exit codes and file outputs of the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import amplasso
 import amplasso.cli as cli
 from amplasso.experiments import ExperimentRecord
 from amplasso.instances import generate, save_instance
@@ -274,3 +278,28 @@ def test_check_instance_bad_file(tmp_path):
 def test_unknown_subcommand_exits_two(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import amplasso
+from amplasso.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+codes = [main(["sweep", "--config", cfg, "--out", out]),
+         main(["se-curves", "--config", cfg, "--out", out]),
+         main(["check-instance", "--config", cfg])]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_sweep_se_curves_and_check_instance_run_without_scipy(tmp_path):
+    # a fresh interpreter: this test process has SciPy loaded already
+    cfg = small_config(tmp_path, lambda_grid=[0.5, 1.5], N_list=[40])
+    src = os.path.dirname(os.path.dirname(amplasso.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, cfg, str(tmp_path / "run")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert (tmp_path / "run" / "sweep.csv").exists() and (tmp_path / "run" / "f_map.csv").exists()

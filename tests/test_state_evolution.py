@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
+from scipy.special import ndtr
 
-from amplasso.errors import ConvergenceError
-from amplasso.scalars import Prior, get_preset, mse_functional
-from amplasso.state_evolution import (SEParams, alpha_min, calibrate_lambda,
-                                      fixed_point, invert_calibration,
+from amplasso.errors import AmplassoError, ConvergenceError
+from amplasso.scalars import (Prior, eta_prime_expectation, get_preset, l1_expectation,
+                              mse_functional)
+from amplasso.state_evolution import (SEParams, _brent_root, _edge_gap, alpha_min,
+                                      calibrate_lambda, fixed_point, invert_calibration,
                                       predicted_risk, se_derivative, se_map,
                                       two_time_recursion)
-from scipy.special import ndtr
 
 FIG4 = SEParams(delta=0.64, sigma2=0.2, prior=get_preset("three_point_0.064"))
 
@@ -76,6 +80,33 @@ class TestAlphaMin:
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
             alpha_min(0.0)
+
+
+class TestBrentRoot:
+    def test_same_root_and_calls_as_scipy_brentq(self):
+        for delta in np.linspace(0.02, 0.99, 60):
+            delta = float(delta)
+            hi = 1.0
+            while _edge_gap(hi, delta) > 0.0:
+                hi *= 2.0
+            calls = {"own": 0, "scipy": 0}
+
+            def gap(alpha, who):
+                calls[who] += 1
+                return _edge_gap(alpha, delta)
+
+            own = _brent_root(lambda a: gap(a, "own"), 0.0, hi)
+            ref = brentq(gap, 0.0, hi, args=("scipy",), xtol=1e-15, rtol=8.9e-16)
+            assert own == ref, delta
+            assert calls["own"] <= calls["scipy"], delta
+
+    def test_endpoint_root_is_returned_at_once(self):
+        assert _brent_root(lambda x: x - 2.0, 2.0, 5.0) == 2.0
+
+    @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (2.0, 3.0)])
+    def test_no_sign_change_rejected(self, a, b):
+        with pytest.raises(ValueError, match="bracket"):
+            _brent_root(lambda x: x * x + 1.0, a, b)
 
 
 class TestFixedPoint:
@@ -191,6 +222,49 @@ class TestPredictedRisk:
         p = SEParams(delta=0.64, sigma2=0.2, prior=Prior((0.0,), (1.0,)))
         with pytest.raises(ValueError):
             predicted_risk(p, 1.0)
+
+
+@st.composite
+def priors_with_zero_weight_atoms(draw):
+    """(prior, the same prior with zero-weight atoms added among its atoms)."""
+    atoms = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4, unique=True))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms), max_size=len(atoms)))
+    weights = [w / sum(raw) for w in raw]
+    extra = draw(st.lists(st.floats(-4.0, 4.0).filter(lambda a: a not in atoms),
+                          min_size=1, max_size=3, unique=True))
+    at = draw(st.integers(0, len(atoms)))
+    padded = Prior(tuple(atoms[:at] + extra + atoms[at:]),
+                   tuple(weights[:at] + [0.0] * len(extra) + weights[at:]))
+    return Prior(tuple(atoms), tuple(weights)), padded
+
+
+class TestZeroWeightAtoms:
+    @settings(max_examples=60, deadline=None)
+    @given(pair=priors_with_zero_weight_atoms(), tau=st.floats(0.05, 3.0),
+           theta=st.floats(0.0, 5.0))
+    def test_scalar_functionals_ignore_them(self, pair, tau, theta):
+        prior, padded = pair
+        for functional in (mse_functional, eta_prime_expectation, l1_expectation):
+            assert_allclose(functional(padded, tau, theta), functional(prior, tau, theta),
+                            rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(pair=priors_with_zero_weight_atoms(), delta=st.floats(0.2, 1.5),
+           sigma2=st.floats(0.02, 1.0), lam=st.floats(0.1, 3.0))
+    def test_predicted_risk_ignores_them(self, pair, delta, sigma2, lam):
+        prior, padded = pair
+        outcomes = []
+        for p in (prior, padded):
+            try:
+                outcomes.append(predicted_risk(SEParams(delta, sigma2, p), lam))
+            except (ValueError, AmplassoError) as exc:
+                outcomes.append(type(exc))
+        base, other = outcomes
+        if isinstance(base, type):
+            assert other is base
+            return
+        for name in ("alpha", "tau2_star", "mse_predicted", "l1_predicted", "sparsity_predicted"):
+            assert_allclose(getattr(other, name), getattr(base, name), rtol=1e-12, atol=0.0)
 
 
 class TestTwoTimeRecursion:
