@@ -10,6 +10,14 @@ draw marks all of that instance's rows; a failure of one penalty marks only
 its own. Instances run one after another, each matrix product using every
 core through BLAS; the prediction (and with it AMP's threshold ratio) is
 computed once per lambda and shared.
+
+On an instance the penalties run from largest to smallest, as a path: each
+reference solve starts from the instance's most recent certified solution
+(the first one starts at 0), and a solve that raised or stopped above its
+tolerance passes nothing on. A cell's LASSO columns can therefore depend on
+the grid's larger penalties, within the KKT certificate; AMP always starts
+at 0, so amp_lasso_gap never compares AMP with a solve that began at AMP's
+own point.
 """
 
 from __future__ import annotations
@@ -182,25 +190,29 @@ def _error_record(config, lam, N, seed, prediction, exc):
         error=f"{type(exc).__name__}: {exc}")
 
 
-def _run_cell(config, inst, lam, prediction, wall_time_generate):
-    """One penalty on a drawn instance.
+def _certified_solve(config, inst, lam, start):
+    """The reference solve of one penalty, from `start` (None: from 0).
 
     Raises:
-        ConvergenceError: the reference solve stopped above its KKT tolerance,
-            so it is not ground truth for the cell.
+        ConvergenceError: the solve stopped above its KKT tolerance, so it is
+            not ground truth for the cell.
     """
-    t1 = time.perf_counter()
     sol = solve_lasso(inst.A, inst.y, lam, tol=config.lasso_tol,
-                      max_iter=config.lasso_max_iter)
+                      max_iter=config.lasso_max_iter, start=start)
     if not sol.converged:
         raise ConvergenceError(
             f"reference solve stopped at KKT residual {sol.kkt_residual:.3e} "
             f"> {config.lasso_tol:g} after {sol.iterations} iterations")
-    t2 = time.perf_counter()
+    return sol
+
+
+def _run_cell(config, inst, lam, prediction, sol, wall_time_generate, wall_time_lasso):
+    """AMP on a drawn instance next to the penalty's certified solution `sol`."""
+    t0 = time.perf_counter()
     state, _ = run_amp(inst, config.se_params, lam,
                        t_max=config.amp_t_max, stop_tol=config.amp_stop_tol,
                        threshold_policy=config.amp_policy, alpha=prediction.alpha)
-    t3 = time.perf_counter()
+    wall_time_amp = time.perf_counter() - t0
     return ExperimentRecord(
         lam=lam, N=inst.N, seed=inst.seed, ensemble=config.ensemble,
         mse_lasso=float(np.mean((sol.x_hat - inst.x0) ** 2)),
@@ -213,14 +225,14 @@ def _run_cell(config, inst, lam, prediction, wall_time_generate):
         lasso_iterations=sol.iterations,
         amp_iterations=state.t,
         wall_time_generate=wall_time_generate,
-        wall_time_lasso=t2 - t1,
-        wall_time_amp=t3 - t2,
+        wall_time_lasso=wall_time_lasso,
+        wall_time_amp=wall_time_amp,
     )
 
 
 def _run_instance(config, N, seed, predictions):
     """Every penalty of the grid on the (N, seed) instance, one record each
-    (grouping and failure rules: see the module docstring)."""
+    (grouping, path order and failure rules: see the module docstring)."""
     try:
         t0 = time.perf_counter()
         inst = generate(config.se_params, N, config.ensemble, seed)
@@ -229,9 +241,15 @@ def _run_instance(config, N, seed, predictions):
         return [_error_record(config, lam, N, seed, predictions[lam], exc)
                 for lam in config.lambda_grid]
     records = []
-    for lam in config.lambda_grid:
+    start = None
+    for lam in sorted(config.lambda_grid, reverse=True):
         try:
-            records.append(_run_cell(config, inst, lam, predictions[lam], wall_time_generate))
+            t1 = time.perf_counter()
+            # a solve that raises leaves the last certified start in place
+            start = _certified_solve(config, inst, lam, start)
+            wall_time_lasso = time.perf_counter() - t1
+            records.append(_run_cell(config, inst, lam, predictions[lam], start,
+                                     wall_time_generate, wall_time_lasso))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             records.append(_error_record(config, lam, N, seed, predictions[lam], exc))
     return records

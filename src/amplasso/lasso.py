@@ -28,6 +28,15 @@ steps after it and the momentum restarts, as after a cost increase. L can
 double at most ceil(log2(min(n, N))) times before it reaches sigma_max^2,
 after which no test fails, and the KKT certificate decides convergence
 either way. An all-zero A keeps step 1.
+
+A solve may start from the solution of the same A and y at another penalty
+(a pathwise warm start, as in glmnet, Friedman, Hastie & Tibshirani 2010,
+and FPC's continuation, Hale, Yin & Zhang 2008). The solution carries its
+image A x_hat, so the start costs no product and the product count above
+holds for warm and cold solves alike. A warm solve does not wait for two
+checks to agree: its finish runs from every check whose signed support has
+not settled, since its supports are those of nearby minimisers rather than
+FISTA's transient early ones.
 """
 
 from __future__ import annotations
@@ -43,7 +52,10 @@ _KKT_CHECK_EVERY = 10
 
 @dataclass
 class LassoSolution:
+    """A solve's last iterate; image is A @ x_hat, from a direct product."""
+
     x_hat: np.ndarray
+    image: np.ndarray
     cost: float
     kkt_residual: float
     iterations: int
@@ -57,7 +69,11 @@ def lasso_cost(A, y, x, lam):
     x = np.asarray(x, dtype=float)
     if A.shape[0] != y.shape[0] or A.shape[1] != x.shape[0]:
         raise ValueError(f"dimension mismatch: A {A.shape}, y {y.shape}, x {x.shape}")
-    r = y - A @ x
+    return _cost(y - A @ x, x, lam)
+
+
+def _cost(r, x, lam):
+    """C(x) given the residual r = y - A x."""
     return float(0.5 * np.dot(r, r) + lam * np.sum(np.abs(x)))
 
 
@@ -132,7 +148,7 @@ def _cg_finish(A, lam, tol, x, Ax, g, signs, budget):
     return x, Ax, steps, True
 
 
-def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000):
+def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
     """Solve the penalized problem to a KKT residual below tol.
 
     Accelerated proximal gradient with step 1/L, L the curvature estimate of
@@ -147,11 +163,21 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000):
     signed support whose finish reached the tolerance or flipped a sign is
     not solved on again; one that ran out of steps is, from the next check.
 
+    The iterate starts at 0, or at `start`, a LassoSolution of the same A
+    and y at any penalty: FISTA begins at start.x_hat with image
+    start.image and no momentum, the first step's cost is compared with the
+    start's cost at this lambda, and a failed check needs no agreeing
+    previous check for its finish.
+
     `iterations` counts FISTA and conjugate-gradient steps, each two
     products with A, under one max_iter; with one product per check and one
     for the returned cost, a solve makes 2 iterations + checks + 1 products.
     If max_iter is exhausted the last iterate is returned with
     converged=False.
+
+    Raises:
+        ValueError: lam, tol or max_iter out of range, or a start whose
+            x_hat or image does not fit the shape of A.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -167,12 +193,17 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000):
     lip = float(np.linalg.norm(A)) ** 2 / min(n, N)
     step = 1.0 / lip if lip > 0 else 1.0
 
-    x = np.zeros(N)
+    if start is None:
+        x, Ax = np.zeros(N), np.zeros(n)
+    else:
+        x = np.asarray(start.x_hat, dtype=float)
+        Ax = np.asarray(start.image, dtype=float)
+        if x.shape != (N,) or Ax.shape != (n,):
+            raise ValueError(f"start does not fit A {A.shape}: x_hat {x.shape}, image {Ax.shape}")
     x_prev = x
-    Ax = np.zeros(n)
     Ax_prev = Ax
     tk = tk_prev = 1.0
-    cost_prev = 0.5 * float(np.dot(y, y))
+    cost_prev = _cost(y - Ax, x, lam)
     signs_prev = None
     settled = set()
     it = since_check = 0
@@ -191,7 +222,7 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000):
             lip *= 2.0
             step = 1.0 / lip
         r = y - Ax_new
-        cost = 0.5 * float(np.dot(r, r)) + lam * float(np.sum(np.abs(x_new)))
+        cost = _cost(r, x_new, lam)
         if curved or cost > cost_prev:
             tk = tk_prev = 1.0
         else:
@@ -210,8 +241,10 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000):
         if kkt <= tol or it == max_iter:
             break
         signs = np.sign(x)
-        if (np.array_equal(signs, signs_prev) and 0 < np.count_nonzero(signs) < n
-                and signs.tobytes() not in settled):
+        # a cold solve's support is transient until two checks agree; a warm
+        # one starts at a neighbouring penalty's minimiser, so it is not
+        if ((start is not None or np.array_equal(signs, signs_prev))
+                and 0 < np.count_nonzero(signs) < n and signs.tobytes() not in settled):
             # the block's last step stays a FISTA step, so the check that
             # ends it sees an image A x computed directly
             budget = min(_KKT_CHECK_EVERY - 1, max_iter - 1 - it)
@@ -223,9 +256,11 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000):
             # the first FISTA step from the finish's point takes no momentum
             x_prev, Ax_prev = x, Ax
         signs_prev = signs
+    image = A @ x
     return LassoSolution(
         x_hat=x,
-        cost=lasso_cost(A, y, x, lam),
+        image=image,
+        cost=_cost(y - image, x, lam),
         kkt_residual=float(kkt),
         iterations=it,
         converged=bool(kkt <= tol),

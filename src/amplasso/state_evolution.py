@@ -8,6 +8,7 @@ recursion used for convergence diagnostics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -137,13 +138,15 @@ def _edge_gap(alpha, delta):
     return (1.0 + alpha * alpha) * _ndtr(-alpha) - alpha * gaussian_pdf(alpha) - 0.5 * delta
 
 
+@functools.lru_cache
 def alpha_min(delta):
     """Smallest admissible threshold ratio for a given aspect ratio.
 
     Root of (1 + a^2) Phi(-a) - a phi(a) = delta/2. The left side equals 1/2
     at a = 0 and decreases strictly to 0, so a nonnegative root exists only
     for delta < 1; for delta >= 1 every positive ratio is admissible and 0
-    is returned.
+    is returned. The root is cached per delta (the 128 most recent): every
+    fixed point of a calibration checks its alpha against it.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")

@@ -145,6 +145,40 @@ class TestRunSweep:
         assert all(np.isnan(r.lasso_iterations) and np.isnan(r.amp_iterations) for r in failed)
         assert all(r.error == "" for r in records if r.lam == 1.2)
 
+    def test_grid_order_does_not_change_rows(self):
+        names = [f.name for f in fields(ExperimentRecord) if not f.name.startswith("wall_time_")]
+
+        def values(grid):
+            records = run_sweep(replace(SMALL, lambda_grid=grid))
+            assert all(r.error == "" for r in records)
+            return [[getattr(r, name) for name in names] for r in records]
+
+        ascending = values((0.6, 0.9, 1.2))
+        assert values((1.2, 0.9, 0.6)) == ascending
+        assert values((0.9, 1.2, 0.6)) == ascending
+
+    def test_path_passes_on_only_certified_solutions(self, monkeypatch):
+        real = exps.solve_lasso
+        received, returned = {}, {}
+
+        def spy(A, y, lam, **kw):
+            received[lam] = kw["start"]
+            if lam == 1.2:
+                raise RuntimeError("boom")
+            if lam == 0.9:
+                kw["max_iter"] = 1
+            returned[lam] = real(A, y, lam, **kw)
+            return returned[lam]
+
+        monkeypatch.setattr(exps, "solve_lasso", spy)
+        records = run_sweep(replace(SMALL, lambda_grid=(0.6, 1.5, 0.9, 1.2), seeds=(0,)))
+        assert [r.error.split(":")[0] for r in records] == ["", "ConvergenceError",
+                                                            "RuntimeError", ""]
+        assert not returned[0.9].converged
+        # largest first from 0; the raised and the unconverged solve pass nothing on
+        assert received[1.5] is None
+        assert received[1.2] is received[0.9] is received[0.6] is returned[1.5]
+
 
     def test_one_draw_spectral_norm_and_no_recalibration_per_instance(self, monkeypatch):
         calls = {"generate": 0, "spectral_norm": 0, "invert_calibration": 0}

@@ -1,5 +1,7 @@
 """Reference-solver tests against a cyclic coordinate-descent oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -217,6 +219,96 @@ class TestStepEstimate:
         assert sol.converged and sol.kkt_residual == 0.0
         assert np.all(sol.x_hat == 0.0)
         assert sol.iterations == 10
+
+
+def oracle_matrices(seed):
+    """A Gaussian, a +-1 and a tall matrix with a sparse signal's observations."""
+    rng = np.random.default_rng(seed)
+    x0 = np.zeros(30)
+    x0[:4] = rng.normal(size=4)
+    for A in (rng.normal(size=(20, 30)) / np.sqrt(20),
+              rng.choice([-1.0, 1.0], size=(20, 30)) / np.sqrt(20),
+              rng.normal(size=(45, 30)) / np.sqrt(45)):
+        yield A, A @ x0 + 0.1 * rng.normal(size=A.shape[0])
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("factor", [2.0, 0.5])
+    def test_start_at_another_penalty_matches_the_oracle(self, seed, factor):
+        lam, tol = 0.05, 1e-11
+        for A, y in oracle_matrices(seed):
+            start = solve_lasso(A, y, factor * lam, tol=tol)
+            kept = start.x_hat.copy(), start.image.copy()
+            sol = solve_lasso(A, y, lam, tol=tol, start=start)
+            assert sol.converged
+            assert_fresh_certificate(A, y, sol, lam, tol)
+            oracle = coordinate_descent(A, y, lam)
+            assert np.max(np.abs(sol.x_hat - oracle)) < 1e-8
+            assert sol.cost <= lasso_cost(A, y, oracle, lam) + 1e-12
+            # the start is read, not written
+            assert np.array_equal(start.x_hat, kept[0]) and np.array_equal(start.image, kept[1])
+
+    def test_image_and_cost_come_from_a_direct_product(self):
+        A, y = small_instance(2, n=20, N=40, k=5)
+        for start in (None, solve_lasso(A, y, 0.1)):
+            sol = solve_lasso(A, y, 0.05, start=start)
+            assert np.array_equal(sol.image, A @ sol.x_hat)
+            assert sol.cost == lasso_cost(A, y, sol.x_hat, 0.05)
+
+    def test_products_two_per_step_one_per_check(self, monkeypatch, finishes):
+        # the start brings its image, so it costs no product
+        monkeypatch.setattr(lasso, "np", _KeepSubclass())
+        checks = []
+        real = lasso._kkt_violation
+        monkeypatch.setattr(lasso, "_kkt_violation",
+                            lambda g, x, lam: checks.append(1) or real(g, x, lam))
+        A, y = small_instance(2, n=20, N=40, k=5)
+        start = solve_lasso(A, y, 0.1, tol=1e-11)
+        checks.clear()
+        finishes.clear()
+        CountingArray.products = 0
+        sol = solve_lasso(A.view(CountingArray), y, 0.05, tol=1e-11, start=start)
+        assert sol.converged and sol.iterations > 10
+        assert CountingArray.products == 2 * sol.iterations + len(checks) + 1
+        assert len(checks) == sol.iterations // 10
+        assert sum(steps for *_, steps, _ in finishes) > 0
+
+    def test_finish_runs_from_the_first_failed_check(self, monkeypatch):
+        # a cold solve waits for two checks with one signed support; a warm
+        # one starts its finish at the first check that fails
+        checks, first = [], []
+        real = lasso._kkt_violation
+        monkeypatch.setattr(lasso, "_kkt_violation",
+                            lambda g, x, lam: checks.append(1) or real(g, x, lam))
+        finish = lasso._cg_finish
+        monkeypatch.setattr(lasso, "_cg_finish",
+                            lambda *args: first.append(len(checks)) or finish(*args))
+        A, y = small_instance(2, n=20, N=40, k=5)
+        start = solve_lasso(A, y, 0.1, tol=1e-11)
+        for begin in (None, start):
+            checks.clear()
+            first.clear()
+            sol = solve_lasso(A, y, 0.05, tol=1e-11, start=begin)
+            assert sol.converged and sol.iterations > 10
+            assert (first[0] == 1) == (begin is start) and first[0] >= 1
+
+    def test_start_at_the_same_penalty_returns_at_the_first_check(self):
+        A, y = small_instance(2, n=20, N=40, k=5)
+        done = solve_lasso(A, y, 0.05, tol=1e-11)
+        again = solve_lasso(A, y, 0.05, tol=1e-11, start=done)
+        assert again.converged and again.iterations == 10
+        assert np.max(np.abs(again.x_hat - done.x_hat)) < 1e-10
+
+    def test_start_of_another_shape_rejected(self):
+        A, y = small_instance(2, n=20, N=40, k=5)
+        start = solve_lasso(A, y, 0.1)
+        for bad in (replace(start, x_hat=start.x_hat[:-1]),
+                    replace(start, image=np.append(start.image, 0.0)),
+                    solve_lasso(A[:, :30], y, 0.1),
+                    solve_lasso(A[:15], y[:15], 0.1)):
+            with pytest.raises(ValueError, match="start"):
+                solve_lasso(A, y, 0.05, start=bad)
 
 
 class TestOptimalityStructure:

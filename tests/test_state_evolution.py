@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from amplasso import state_evolution
 from amplasso.errors import AmplassoError, ConvergenceError
 from amplasso.scalars import (Prior, eta_prime_expectation, get_preset, l1_expectation,
                               mse_functional)
@@ -80,6 +81,22 @@ class TestAlphaMin:
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
             alpha_min(0.0)
+
+    def test_root_solved_once_per_grid_pass(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(state_evolution, "_edge_gap",
+                            lambda alpha, delta: calls.append(delta) or _edge_gap(alpha, delta))
+        alpha_min.cache_clear()
+        one_root = alpha_min(FIG4.delta)
+        per_root = len(calls)
+        assert 2 <= per_root <= 20
+        alpha_min.cache_clear()
+        calls.clear()
+        # the README penalty grid: every calibration's fixed points share the root
+        for lam in np.linspace(0.2, 2.0, 10):
+            predicted_risk(FIG4, float(lam))
+        assert len(calls) == per_root
+        assert alpha_min(FIG4.delta) == one_root and len(calls) == per_root
 
 
 class TestBrentRoot:
