@@ -13,7 +13,7 @@ The library is organized bottom-up:
 """
 
 from ._version import __version__
-from .amp import AmpDiagnostics, AmpState, run_amp
+from .amp import AmpDiagnostics, AmpState, run_amp, run_amp_grid
 from .errors import AmplassoError, ConsistencyError, ConvergenceError, DivergenceError
 from .experiments import (ExperimentConfig, ExperimentRecord, MinimumLambdaResult,
                           dump_se_curves, minimum_lambda, run_sweep, write_records_csv)
@@ -38,7 +38,7 @@ __all__ = [
     "Instance", "generate", "singular_edge_check",
     "save_instance", "load_instance",
     "LassoSolution", "solve_lasso", "lasso_cost", "kkt_residual", "spectral_norm",
-    "AmpState", "AmpDiagnostics", "run_amp",
+    "AmpState", "AmpDiagnostics", "run_amp", "run_amp_grid",
     "ExperimentConfig", "ExperimentRecord", "MinimumLambdaResult", "run_sweep",
     "write_records_csv", "dump_se_curves", "minimum_lambda",
 ]

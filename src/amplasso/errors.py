@@ -17,11 +17,13 @@ class ConvergenceError(AmplassoError):
 
 
 class DivergenceError(AmplassoError):
-    """An iteration produced non-finite values. Carries the iteration index."""
+    """An iteration produced non-finite values. Carries the iteration index
+    and, for stacked iterates, the indices of the rows that diverged."""
 
-    def __init__(self, message, t=None):
+    def __init__(self, message, t=None, rows=None):
         super().__init__(message)
         self.t = t
+        self.rows = rows
 
 
 class ConsistencyError(AmplassoError):

@@ -15,9 +15,15 @@ On an instance the penalties run from largest to smallest, as a path: each
 reference solve starts from the instance's most recent certified solution
 (the first one starts at 0), and a solve that raised or stopped above its
 tolerance passes nothing on. A cell's LASSO columns can therefore depend on
-the grid's larger penalties, within the KKT certificate; AMP always starts
-at 0, so amp_lasso_gap never compares AMP with a solve that began at AMP's
-own point.
+the grid's larger penalties, within the KKT certificate.
+
+AMP then runs once per instance, at every penalty with a certified solution,
+as one stack (amp.run_amp_grid): one product pair per step for all of
+them. A cell's wall_time_amp is that stacked run's time, repeated on each of
+the instance's rows, and a row of the stack that raised marks only its own
+cell. AMP always starts at 0, so amp_lasso_gap never compares AMP with a
+solve that began at AMP's own point; its columns can depend on which other
+penalties share the stack, within rounding.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import MISSING, astuple, dataclass, field, fields
 import numpy as np
 
 from ._version import __version__
-from .amp import run_amp
+from .amp import run_amp_grid
 from .errors import ConvergenceError
 from .instances import ENSEMBLES, generate
 from .lasso import solve_lasso
@@ -206,13 +212,9 @@ def _certified_solve(config, inst, lam, start):
     return sol
 
 
-def _run_cell(config, inst, lam, prediction, sol, wall_time_generate, wall_time_lasso):
-    """AMP on a drawn instance next to the penalty's certified solution `sol`."""
-    t0 = time.perf_counter()
-    state, _ = run_amp(inst, config.se_params, lam,
-                       t_max=config.amp_t_max, stop_tol=config.amp_stop_tol,
-                       threshold_policy=config.amp_policy, alpha=prediction.alpha)
-    wall_time_amp = time.perf_counter() - t0
+def _record(config, inst, lam, prediction, sol, state,
+            wall_time_generate, wall_time_lasso, wall_time_amp):
+    """A solved cell: AMP's final `state` next to the certified solution `sol`."""
     return ExperimentRecord(
         lam=lam, N=inst.N, seed=inst.seed, ensemble=config.ensemble,
         mse_lasso=float(np.mean((sol.x_hat - inst.x0) ** 2)),
@@ -232,7 +234,7 @@ def _run_cell(config, inst, lam, prediction, sol, wall_time_generate, wall_time_
 
 def _run_instance(config, N, seed, predictions):
     """Every penalty of the grid on the (N, seed) instance, one record each
-    (grouping, path order and failure rules: see the module docstring)."""
+    (grouping, path, stack and failure rules: see the module docstring)."""
     try:
         t0 = time.perf_counter()
         inst = generate(config.se_params, N, config.ensemble, seed)
@@ -241,17 +243,31 @@ def _run_instance(config, N, seed, predictions):
         return [_error_record(config, lam, N, seed, predictions[lam], exc)
                 for lam in config.lambda_grid]
     records = []
+    solved = []  # (lam, certified solution, solve time), in path order
     start = None
     for lam in sorted(config.lambda_grid, reverse=True):
         try:
             t1 = time.perf_counter()
             # a solve that raises leaves the last certified start in place
             start = _certified_solve(config, inst, lam, start)
-            wall_time_lasso = time.perf_counter() - t1
-            records.append(_run_cell(config, inst, lam, predictions[lam], start,
-                                     wall_time_generate, wall_time_lasso))
+            solved.append((lam, start, time.perf_counter() - t1))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             records.append(_error_record(config, lam, N, seed, predictions[lam], exc))
+    t2 = time.perf_counter()
+    try:
+        outcomes = run_amp_grid(inst, config.se_params, [lam for lam, _, _ in solved],
+                                [predictions[lam].alpha for lam, _, _ in solved],
+                                t_max=config.amp_t_max, stop_tol=config.amp_stop_tol,
+                                threshold_policy=config.amp_policy)
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        outcomes = [exc] * len(solved)
+    wall_time_amp = time.perf_counter() - t2
+    for (lam, sol, wall_time_lasso), outcome in zip(solved, outcomes):
+        if isinstance(outcome, Exception):
+            records.append(_error_record(config, lam, N, seed, predictions[lam], outcome))
+        else:
+            records.append(_record(config, inst, lam, predictions[lam], sol, outcome[0],
+                                   wall_time_generate, wall_time_lasso, wall_time_amp))
     return records
 
 

@@ -57,12 +57,14 @@ def soft_threshold(x, theta):
 
     Args:
         x: scalar or array.
-        theta: nonnegative threshold.
+        theta: nonnegative threshold, or an array of them that broadcasts
+            against x.
 
     Returns:
         x - theta where x > theta, x + theta where x < -theta, else 0.
     """
-    if theta < 0:
+    # a scalar is compared without NumPy, since the solvers call this every step
+    if (theta < 0).any() if isinstance(theta, np.ndarray) else theta < 0:
         raise ValueError(f"threshold must be nonnegative, got {theta}")
     x = np.asarray(x, dtype=float)
     out = np.sign(x) * np.maximum(np.abs(x) - theta, 0.0)

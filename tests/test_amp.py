@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import amplasso.amp
-from amplasso.amp import amp_step, initial_state, run_amp
-from amplasso.errors import DivergenceError
+from amplasso.amp import amp_step, initial_state, run_amp, run_amp_grid
+from amplasso.errors import ConsistencyError, DivergenceError
 from amplasso.instances import generate
 from amplasso.lasso import solve_lasso
 from amplasso.scalars import get_preset
@@ -35,6 +35,18 @@ def certificate_norm(A, y, lam, x, pre, theta):
     assert np.max(np.abs(s[on] - np.sign(x[on])), initial=0.0) <= 1e-6
     sg = lam * s - A.T @ (y - A @ x)
     return float(np.linalg.norm(sg)) / math.sqrt(x.shape[0])
+
+
+class CountingArray(np.ndarray):
+    """Counts the matrix products that involve it; results are plain arrays."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingArray.products += 1
+        inputs = [a.view(np.ndarray) if isinstance(a, CountingArray) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 class TestAmpStep:
@@ -92,6 +104,38 @@ class TestAmpStep:
         with pytest.raises(DivergenceError):
             for _ in range(4):
                 state = amp_step(state, A, y, theta=1.0)
+
+    def test_stacked_rows_step_as_single_iterates(self):
+        inst = tiny_instance(3, N=60)
+        thetas = np.array([0.3, 0.6, 1.2])
+        state = initial_state(inst.y, 60, rows=3)
+        singles = [initial_state(inst.y, 60) for _ in thetas]
+        for _ in range(4):
+            state = amp_step(state, inst.A, inst.y, thetas)
+            singles = [amp_step(s, inst.A, inst.y, th) for s, th in zip(singles, thetas)]
+            assert state.t == singles[0].t and np.array_equal(state.theta_t, thetas)
+            for i, single in enumerate(singles):
+                assert_allclose(state.x[i], single.x, rtol=0, atol=1e-12)
+                assert_allclose(state.z[i], single.z, rtol=0, atol=1e-12)
+                assert state.onsager[i] == single.onsager
+
+    def test_stacked_divergence_names_its_rows(self):
+        A = np.array([[1e200]])
+        y = np.array([1.0])
+        state = initial_state(y, 1, rows=2)
+        state.z[0] = 0.0
+        with pytest.raises(DivergenceError) as info:
+            amp_step(state, A, y, np.array([1.0, 1.0]))
+        assert info.value.rows == [1] and info.value.t == 1
+
+    def test_stacked_shapes_checked(self):
+        inst = tiny_instance(4, N=40)
+        state = initial_state(inst.y, 40, rows=2)
+        for theta in (1.0, np.array([1.0, 1.0, 1.0])):
+            with pytest.raises(ValueError):
+                amp_step(state, inst.A, inst.y, theta)
+        with pytest.raises(ValueError):
+            amp_step(state, inst.A, inst.y, np.array([1.0, 0.0]))
 
 
 class TestRunAmp:
@@ -190,6 +234,112 @@ class TestRunAmp:
         run_amp(inst, FIG4, 1.0, t_max=5, stop_tol=0.0, active_mask_sink=sink)
         assert sorted(sink) == [1, 2, 3, 4, 5]
         assert all(m.shape == (200,) and m.dtype == bool for m in sink.values())
+
+
+GRID = (0.6, 1.0, 1.6)
+DIAG_FIELDS = ("theta", "tau2_se", "z_norm2_over_n", "mse_vs_x0", "delta_x_norm",
+               "subgradient_norm")
+
+
+def assert_same_run(run, single):
+    """A row of run_amp_grid against run_amp at its penalty (see TestRunAmpGrid)."""
+    (state, diag), (s_state, s_diag) = run, single
+    assert state.t == s_state.t and len(diag) == len(s_diag) == state.t
+    assert_allclose(state.x, s_state.x, rtol=0, atol=1e-12)
+    assert_allclose(state.z, s_state.z, rtol=0, atol=1e-12)
+    for row, s_row in zip(diag, s_diag):
+        assert (row.t, row.active_set_size) == (s_row.t, s_row.active_set_size)
+        for name in DIAG_FIELDS:
+            assert_allclose(getattr(row, name), getattr(s_row, name), rtol=1e-12, atol=1e-12)
+
+
+class TestRunAmpGrid:
+    """Penalties of one instance run as one stack; each row is its own run_amp."""
+
+    @pytest.mark.parametrize("policy", ["se", "residual"])
+    def test_rows_match_single_runs(self, policy):
+        inst = tiny_instance(16, N=300)
+        alphas = [invert_calibration(FIG4, lam) for lam in GRID]
+        runs = run_amp_grid(inst, FIG4, GRID, alphas, t_max=80, stop_tol=1e-8,
+                            threshold_policy=policy)
+        # the rows stop at different times, so the stack shrinks as it runs
+        assert len({state.t for state, _ in runs}) > 1
+        for lam, alpha, run in zip(GRID, alphas, runs):
+            assert_same_run(run, run_amp(inst, FIG4, lam, t_max=80, stop_tol=1e-8,
+                                         threshold_policy=policy, alpha=alpha))
+
+    @pytest.mark.parametrize("lams", [GRID[:1], GRID])
+    def test_products_two_per_step_of_the_longest_row(self, lams):
+        inst = tiny_instance(16, N=300)
+        inst.A = inst.A.view(CountingArray)
+        CountingArray.products = 0
+        runs = run_amp_grid(inst, FIG4, lams, [invert_calibration(FIG4, lam) for lam in lams],
+                            t_max=80, threshold_policy="residual")
+        assert CountingArray.products == 2 * max(state.t for state, _ in runs) + 1
+
+    def test_failed_row_leaves_the_others_unchanged(self, monkeypatch):
+        inst = tiny_instance(16, N=300)
+        alphas = [invert_calibration(FIG4, lam) for lam in GRID]
+        kw = dict(t_max=80, stop_tol=1e-8, threshold_policy="residual")
+        plain = run_amp_grid(inst, FIG4, GRID, alphas, **kw)
+        doomed = plain[1][1][2].theta  # the middle row's third threshold
+        real = amplasso.amp._boundary_coords
+
+        def failing(pre, x_new, theta):
+            if theta == doomed:
+                raise ConsistencyError("forced")
+            return real(pre, x_new, theta)
+
+        monkeypatch.setattr(amplasso.amp, "_boundary_coords", failing)
+        forced = run_amp_grid(inst, FIG4, GRID, alphas, **kw)
+        assert isinstance(forced[1], ConsistencyError) and str(forced[1]) == "forced"
+        assert_same_run(forced[0], plain[0])
+        assert_same_run(forced[2], plain[2])
+        with pytest.raises(ConsistencyError, match="forced"):
+            run_amp(inst, FIG4, GRID[1], alpha=alphas[1], **kw)
+
+    @pytest.mark.parametrize("step", [0, 2])
+    def test_diverged_row_leaves_the_others_unchanged(self, monkeypatch, step):
+        inst = tiny_instance(16, N=300)
+        inst.A = inst.A.view(CountingArray)
+        alphas = [invert_calibration(FIG4, lam) for lam in GRID]
+        kw = dict(t_max=80, stop_tol=1e-8, threshold_policy="residual")
+        plain = run_amp_grid(inst, FIG4, GRID, alphas, **kw)
+        doomed = plain[1][1][step].theta
+        real = amplasso.amp.soft_threshold
+
+        def poisoned(x, theta):
+            out = real(x, theta)
+            out[theta[:, 0] == doomed] = np.nan
+            return out
+
+        monkeypatch.setattr(amplasso.amp, "soft_threshold", poisoned)
+        CountingArray.products = 0
+        forced = run_amp_grid(inst, FIG4, GRID, alphas, **kw)
+        assert isinstance(forced[1], DivergenceError) and forced[1].t == step + 1
+        assert_same_run(forced[0], plain[0])
+        assert_same_run(forced[2], plain[2])
+        # the step that diverged runs again for the other rows
+        longest = max(state.t for state, _ in (forced[0], forced[2]))
+        assert CountingArray.products == 2 * longest + 1 + 2
+
+    def test_every_row_failing_returns_only_exceptions(self, monkeypatch):
+        inst = tiny_instance(16, N=100)
+
+        def failing(pre, x_new, theta):
+            raise ConsistencyError("forced")
+
+        monkeypatch.setattr(amplasso.amp, "_boundary_coords", failing)
+        runs = run_amp_grid(inst, FIG4, GRID, [2.0] * 3, t_max=5)
+        assert all(isinstance(r, ConsistencyError) for r in runs)
+        assert run_amp_grid(inst, FIG4, (), (), t_max=5) == []
+
+    def test_invalid_arguments(self):
+        inst = tiny_instance(17, N=100)
+        for bad in (dict(alphas=[2.0]), dict(active_mask_sinks=[None]), dict(t_max=0)):
+            args = {"lams": GRID[:2], "alphas": [2.0, 2.0], **bad}
+            with pytest.raises(ValueError):
+                run_amp_grid(inst, FIG4, **args)
 
 
 class TestSubgradientResidual:

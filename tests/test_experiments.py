@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -13,12 +14,13 @@ from numpy.testing import assert_allclose
 import amplasso.amp
 import amplasso.experiments as exps
 import amplasso.lasso
+from amplasso.errors import ConsistencyError
 from amplasso.experiments import (CurveTables, ExperimentConfig, ExperimentRecord,
                                   dump_se_curves,
                                   minimum_lambda, run_sweep, write_curve_tables,
                                   write_records_csv)
 from amplasso.scalars import Prior, get_preset
-from amplasso.state_evolution import SEParams, alpha_min, fixed_point, se_map
+from amplasso.state_evolution import SEParams, alpha_min, fixed_point, predicted_risk, se_map
 
 SMALL = ExperimentConfig(
     delta=0.64, sigma2=0.2, prior=get_preset("three_point_0.064"),
@@ -27,6 +29,8 @@ SMALL = ExperimentConfig(
     amp_policy="residual", lasso_tol=1e-8)
 
 FIG4 = SMALL.se_params
+# AMP's measured errors, which depend within rounding on the penalties that share its stack
+AMP_ERRORS = ("mse_amp", "amp_lasso_gap")
 NAN, INF = float("nan"), float("inf")
 
 
@@ -145,6 +149,33 @@ class TestRunSweep:
         assert all(np.isnan(r.lasso_iterations) and np.isnan(r.amp_iterations) for r in failed)
         assert all(r.error == "" for r in records if r.lam == 1.2)
 
+    def test_failed_amp_row_marks_only_its_cell(self, monkeypatch):
+        # the first residual threshold of lambda=0.6 on seed 0, as run_amp_grid computes it
+        inst = exps.generate(FIG4, 120, "gaussian", 0)
+        doomed = (predicted_risk(FIG4, 0.6).alpha * float(np.linalg.norm(inst.y))
+                  / math.sqrt(inst.n))
+        real = amplasso.amp._boundary_coords
+
+        def failing(pre, x_new, theta):
+            if theta == doomed:
+                raise ConsistencyError("forced")
+            return real(pre, x_new, theta)
+
+        plain = run_sweep(SMALL)
+        monkeypatch.setattr(amplasso.amp, "_boundary_coords", failing)
+        forced = run_sweep(SMALL)
+        names = [f.name for f in fields(ExperimentRecord)
+                 if not f.name.startswith("wall_time_") and f.name not in AMP_ERRORS]
+        for p, f in zip(plain, forced):
+            if (f.lam, f.seed) == (0.6, 0):
+                assert f.error == "ConsistencyError: forced"
+                assert np.isnan(f.mse_amp) and np.isnan(f.mse_lasso)
+                continue
+            assert f.error == ""
+            assert [getattr(f, n) for n in names] == [getattr(p, n) for n in names]
+            for n in AMP_ERRORS:
+                assert abs(getattr(f, n) - getattr(p, n)) <= 1e-12
+
     def test_grid_order_does_not_change_rows(self):
         names = [f.name for f in fields(ExperimentRecord) if not f.name.startswith("wall_time_")]
 
@@ -199,12 +230,12 @@ class TestRunSweep:
         # 2 sizes x 2 seeds; the solver sizes its own step, and AMP takes
         # alpha from the shared prediction
         assert calls == {"generate": 4, "spectral_norm": 0, "invert_calibration": 0}
-        # each instance's draw time is shared by all of its penalties
+        # each instance's draw and stacked AMP run are shared by all of its penalties
         for N in (120, 150):
             for seed in SMALL.seeds:
-                times = {r.wall_time_generate for r in records
-                         if r.N == N and r.seed == seed}
-                assert len(times) == 1
+                rows = [r for r in records if r.N == N and r.seed == seed]
+                assert len({r.wall_time_generate for r in rows}) == 1
+                assert len({r.wall_time_amp for r in rows}) == 1
 
     def test_instance_failure_marks_only_its_rows(self, monkeypatch):
         real = exps.generate
@@ -293,7 +324,6 @@ class TestMinimumLambda:
         res = minimum_lambda(FIG4, (0.05, 2.0))
         assert res.unimodal
         assert 0.05 < res.lambda_opt < 2.0
-        from amplasso.state_evolution import predicted_risk
         assert res.mse_opt <= predicted_risk(FIG4, 0.05).mse_predicted
         assert res.mse_opt <= predicted_risk(FIG4, 2.0).mse_predicted
         # no worse than the golden-section search this replaced
