@@ -13,8 +13,11 @@ Runs at several penalties on one instance share A and y and nothing else
 (each starts at x = 0), so run_amp_grid advances them together as a stack:
 row l of X (L x N) and Z (L x n) is the run at the l-th penalty, and a step
 makes one product with A and one with A^T, Z @ A and X @ A.T, whatever L.
-Each row keeps its own thresholds, stop test and diagnostics, and leaves
-the stack when it stops or fails. A row's sums inside a shared product run
+Each row keeps its own thresholds, stop test and diagnostics. run_amp_grid
+is the one place that checks rows: after every step, masks over the whole
+stack mark the rows that diverged, left [-1, 1] in a boundary coordinate or
+stopped, and those rows leave the stack while the others go on, so a stack
+always makes 2 max t + 1 products. A row's sums inside a shared product run
 in another order than they would alone, so its iterates can depend on the
 stack's other rows within rounding (a few 1e-15). run_amp is the one-row
 case, whose products are matrix-vector products.
@@ -73,11 +76,11 @@ def amp_step(state, A, y, theta):
     Exactly one product with A and one with A^T whatever the number of
     rows: the row forms z @ A and x_new @ A.T. Every reduction runs along
     the last axis, so 1-D iterates with a scalar theta are the one-row case.
+    The step does not check its output: a row that overflows comes back
+    non-finite as it is, and run_amp_grid checks every row of every step.
 
     Raises:
         ValueError: dimension mismatch or nonpositive threshold.
-        DivergenceError: non-finite values appear (carries the iteration
-            and, for a stack, the rows that diverged).
     """
     n, N = A.shape
     x, z = state.x, state.z
@@ -94,13 +97,6 @@ def amp_step(state, A, y, theta):
         x_new = soft_threshold(pre, th)
         onsager = np.count_nonzero(np.abs(pre) > th, axis=-1) / n
         z_new = y - x_new @ A.T + onsager[..., None] * z
-    finite = np.isfinite(x_new).all(axis=-1) & np.isfinite(z_new).all(axis=-1)
-    if not finite.all():
-        t = state.t + 1
-        if x.ndim == 1:
-            raise DivergenceError(f"non-finite iterate at t={t}", t=t)
-        rows = np.flatnonzero(~finite).tolist()
-        raise DivergenceError(f"non-finite iterate at t={t} in rows {rows}", t=t, rows=rows)
     return AmpState(x=x_new, z=z_new, t=state.t + 1, theta_t=theta,
                     onsager=onsager, pre=pre)
 
@@ -119,30 +115,23 @@ class AmpDiagnostics:
     active_set_size: int
 
 
-def _boundary_coords(pre, x_new, theta):
-    """v = (pre - x)/theta; +-1 exactly on the support, inside (-1,1) off it."""
-    v = (pre - x_new) / theta
-    excess = float(np.max(np.abs(v))) - 1.0
-    if excess > _SIGN_SLACK:
-        raise ConsistencyError(f"subgradient entry exceeds 1 by {excess:.3e}")
-    return v
+def _subgradient_norms(lam_v, onsager, atz_prev, atz):
+    """N^{-1/2} ||lam v - (A^T z - onsager A^T z_prev)|| per row: the
+    subgradient column of the step whose lam v, Onsager coefficients and
+    A^T z_prev are given, finished by A^T z of the z that step produced."""
+    sg = lam_v - (atz - onsager[:, None] * atz_prev)
+    return np.linalg.norm(sg, axis=1) / math.sqrt(lam_v.shape[1])
 
 
-def _subgradient_norm(pending, atz):
-    """N^{-1/2} ||lam v - (A^T z - onsager A^T z_prev)|| of the step that
-    `pending` describes, given A^T z of the z that step produced."""
-    lam_v, onsager, atz_prev = pending
-    sg = lam_v - (atz - onsager * atz_prev)
-    return float(np.linalg.norm(sg)) / math.sqrt(lam_v.shape[0])
-
-
-def _take(state, rows):
-    """The stack of the given rows of `state`."""
-    if len(rows) == state.x.shape[0]:
-        return state
-    return AmpState(x=state.x[rows], z=state.z[rows], t=state.t,
-                    theta_t=state.theta_t[rows], onsager=state.onsager[rows],
-                    pre=None if state.pre is None else state.pre[rows])
+def _rows(keep, *stacks):
+    """Each stack (an AmpState or an array with one row per run) cut to the
+    rows that `keep` marks; the stacks themselves when it marks every row."""
+    if keep.all():
+        return stacks
+    return tuple(s[keep] if isinstance(s, np.ndarray) else
+                 AmpState(x=s.x[keep], z=s.z[keep], t=s.t, theta_t=s.theta_t[keep],
+                          onsager=s.onsager[keep], pre=s.pre[keep])
+                 for s in stacks)
 
 
 def _row(state, i):
@@ -152,22 +141,6 @@ def _row(state, i):
                     pre=state.pre[i].copy())
 
 
-@dataclass
-class _Run:
-    """One penalty's own part of a stacked run."""
-
-    lam: float
-    alpha: float
-    sink: dict | None
-    tau2: float
-    diagnostics: list = field(default_factory=list)
-    # lam * v, the onsager coefficient and A^T z_prev of the last step; its
-    # subgradient row is finished by the next product with A^T
-    pending: tuple | None = None
-    # (final AmpState, diagnostics), or the exception that stopped the row
-    outcome: object = None
-
-
 def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
                  threshold_policy="se", active_mask_sinks=None):
     """Run the iteration at every penalty of `lams` on one instance, as one stack.
@@ -175,14 +148,16 @@ def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
     Row l is run_amp at lams[l] with threshold ratio alphas[l]: its own
     thresholds, stop test and diagnostics, as run_amp describes them. All
     rows that have not stopped advance together, so a step makes one
-    product with A and one with A^T whatever their number. A row leaves the
-    stack when it stops, and one stacked product with A^T after the last
-    step finishes the subgradient column of every row that stopped: rows
-    that stop after t_1, ..., t_L steps cost 2 max_l t_l + 1 products.
+    product with A and one with A^T whatever their number.
 
-    A row that raises DivergenceError or ConsistencyError leaves the stack
-    with its exception, and the other rows go on; a divergence repeats its
-    step for the other rows (two more products).
+    Every row of every step is checked here, in one place, by masks over
+    the whole stack: a row whose iterate is not finite leaves with a
+    DivergenceError, one whose boundary coordinates leave [-1, 1] with a
+    ConsistencyError, and one that stops with its final state; the other
+    rows go on. One stacked product with A^T after the last step finishes
+    the subgradient column of every row that stopped, so rows that end
+    after t_1, ..., t_L steps cost 2 max_l t_l + 1 products, also when some
+    of them fail.
 
     active_mask_sinks, if given, holds one run_amp active_mask_sink (a dict
     or None) per row.
@@ -208,70 +183,78 @@ def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
     A, y, x0 = instance.A, instance.y, instance.x0
     n, N = A.shape
 
+    # (final AmpState, diagnostics) or the exception that stopped the row
+    outcomes = [None] * len(lams)
+    diagnostics = [[] for _ in lams]
+    # per row of the stack: its penalty's index, lam, alpha and SE variance;
     # the SE sequence advances with the iterates, so a row that stops early
     # computes only the values it uses
-    runs = [_Run(lam, alpha, sink, params.tau2_init)
-            for lam, alpha, sink in zip(lams, alphas, sinks)]
-    live = list(runs)  # row i of the stack is the run live[i]
-    state = initial_state(y, N, rows=len(live))
-    stopped = []  # (run, final state), waiting for the closing product
-    while live:
+    live = np.arange(len(lams))
+    lam, alpha = np.array(lams, dtype=float), np.array(alphas, dtype=float)
+    tau2 = np.full(len(lams), params.tau2_init)
+    state = initial_state(y, N, rows=len(lams))
+    stopped = []  # (penalty index, final state, lam v, A^T z_prev) per row
+    while live.size:
         if threshold_policy == "se":
-            theta = np.array([r.alpha * math.sqrt(r.tau2) for r in live])
+            theta = alpha * np.sqrt(tau2)
         elif state.t == 0:
-            scale = float(np.linalg.norm(y))
-            theta = np.array([r.alpha * scale / math.sqrt(n) for r in live])
+            theta = alpha * float(np.linalg.norm(y)) / math.sqrt(n)
         else:
-            theta = np.array([r.lam for r in live]) + state.onsager * state.theta_t
-        try:
-            new = amp_step(state, A, y, theta)
-        except DivergenceError as exc:
-            for i in exc.rows:
-                live[i].outcome = DivergenceError(f"non-finite iterate at t={exc.t}", t=exc.t)
-            keep = [i for i in range(len(live)) if i not in exc.rows]
-            live, state = [live[i] for i in keep], _take(state, keep)
-            continue
-        atz_prev = new.pre - state.x  # A^T z of the consumed states
-
-        keep = []
-        for i, run in enumerate(live):
-            if run.pending is not None:
-                run.diagnostics[-1].subgradient_norm = _subgradient_norm(run.pending, atz_prev[i])
-            try:
-                v = _boundary_coords(new.pre[i], new.x[i], theta[i])
-            except ConsistencyError as exc:
-                run.outcome = exc
+            theta = lam + state.onsager * state.theta_t
+        new = amp_step(state, A, y, theta)
+        t = new.t
+        # rows that diverged run through these statistics too
+        with np.errstate(over="ignore", invalid="ignore"):
+            atz = new.pre - state.x  # A^T z of the consumed states
+            if state.t:
+                sg = _subgradient_norms(lam_v, state.onsager, atz_prev, atz)
+            v = (new.pre - new.x) / theta[:, None]  # +-1 on the support, inside off it
+            abs_v = np.abs(v)
+            excess = abs_v.max(axis=1) - 1.0
+            finite = np.isfinite(new.x).all(axis=1) & np.isfinite(new.z).all(axis=1)
+            consistent = excess <= _SIGN_SLACK
+            mask = abs_v >= 1.0 - _ACTIVE_GAMMA
+            delta_x = np.linalg.norm(new.x - state.x, axis=1) / math.sqrt(N)
+            z_norm2 = np.einsum("ij,ij->i", new.z, new.z) / n
+            mse = np.mean((new.x - x0) ** 2, axis=1)
+            # never on the first step: its threshold comes from alpha, not
+            # from lam, so x_1 = 0 = x_0 says nothing about the minimiser
+            stop = (delta_x <= stop_tol) & (t > 1) | (t == t_max)
+        tau2 = np.array([se_map(params, t2, a * math.sqrt(t2)) for t2, a in zip(tau2, alpha)])
+        lam_v = lam[:, None] * v
+        for i, k in enumerate(live):
+            if state.t:
+                diagnostics[k][-1].subgradient_norm = float(sg[i])
+            if not finite[i]:
+                outcomes[k] = DivergenceError(f"non-finite iterate at t={t}", t=t)
                 continue
-            mask = np.abs(v) >= 1.0 - _ACTIVE_GAMMA
-            if run.sink is not None:
-                run.sink[new.t] = mask
-            tau2_next = se_map(params, run.tau2, run.alpha * math.sqrt(run.tau2))
-            delta_x = float(np.linalg.norm(new.x[i] - state.x[i])) / math.sqrt(N)
-            run.diagnostics.append(AmpDiagnostics(
-                t=new.t,
-                theta=float(theta[i]),
-                tau2_se=tau2_next,
-                z_norm2_over_n=float(np.dot(new.z[i], new.z[i])) / n,
-                mse_vs_x0=float(np.mean((new.x[i] - x0) ** 2)),
-                delta_x_norm=delta_x,
-                subgradient_norm=float("nan"),
-                active_set_size=int(np.count_nonzero(mask)),
-            ))
-            # a copy, so that a stopped row does not hold on to the whole stack
-            run.pending = (run.lam * v, float(new.onsager[i]), atz_prev[i].copy())
-            run.tau2 = tau2_next
-            if delta_x <= stop_tol or new.t == t_max:
-                stopped.append((run, _row(new, i)))
-            else:
-                keep.append(i)
-        live, state = [live[i] for i in keep], _take(new, keep)
+            if not consistent[i]:
+                outcomes[k] = ConsistencyError(f"subgradient entry exceeds 1 by {excess[i]:.3e}")
+                continue
+            if sinks[k] is not None:
+                sinks[k][t] = mask[i].copy()  # a view would keep the whole stack's mask
+            diagnostics[k].append(AmpDiagnostics(
+                t=t, theta=float(theta[i]), tau2_se=float(tau2[i]),
+                z_norm2_over_n=float(z_norm2[i]), mse_vs_x0=float(mse[i]),
+                delta_x_norm=float(delta_x[i]), subgradient_norm=float("nan"),
+                active_set_size=int(np.count_nonzero(mask[i]))))
+            if stop[i]:
+                # copies, so that a stopped row does not hold on to the stack
+                stopped.append((k, _row(new, i), lam_v[i].copy(), atz[i].copy()))
+        keep = finite & consistent & ~stop
+        # lam v and A^T z_prev of this step go on with the rows that stay:
+        # the next product with A^T finishes their subgradient column
+        state, live, lam, alpha, tau2, lam_v, atz_prev = _rows(
+            keep, new, live, lam, alpha, tau2, lam_v, atz)
 
     if stopped:
-        atz = np.array([final.z for _, final in stopped]) @ A
-        for (run, final), atz_row in zip(stopped, atz):
-            run.diagnostics[-1].subgradient_norm = _subgradient_norm(run.pending, atz_row)
-            run.outcome = (final, run.diagnostics)
-    return [run.outcome for run in runs]
+        index, finals, lam_vs, atzs = zip(*stopped)
+        sg = _subgradient_norms(np.array(lam_vs), np.array([f.onsager for f in finals]),
+                                np.array(atzs), np.array([f.z for f in finals]) @ A)
+        for k, final, norm in zip(index, finals, sg):
+            diagnostics[k][-1].subgradient_norm = float(norm)
+            outcomes[k] = (final, diagnostics[k])
+    return outcomes
 
 
 def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
@@ -290,8 +273,9 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
     penalty theta * (1 - b), which differs from lam by O(N^{-1/2})). The
     asymptotic theory is proved for the SE policy only; the residual variant
     is the choice when comparing against the per-instance optimum. Stops at
-    t_max or when ||x_new - x|| / sqrt(N)
-    drops to stop_tol. The subgradient column is produced with no extra
+    t_max, or when ||x_new - x|| / sqrt(N) drops to stop_tol at any step
+    after the first (the first threshold is not matched to lam, so a first
+    step that leaves x = 0 proves nothing). The subgradient column is produced with no extra
     matrix products by reusing each step's A^T z (one extra product at the
     final iterate only), so a run of t steps makes 2t + 1 products.
 

@@ -17,13 +17,11 @@ class ConvergenceError(AmplassoError):
 
 
 class DivergenceError(AmplassoError):
-    """An iteration produced non-finite values. Carries the iteration index
-    and, for stacked iterates, the indices of the rows that diverged."""
+    """An iteration produced non-finite values. Carries the iteration index."""
 
-    def __init__(self, message, t=None, rows=None):
+    def __init__(self, message, t=None):
         super().__init__(message)
         self.t = t
-        self.rows = rows
 
 
 class ConsistencyError(AmplassoError):

@@ -9,7 +9,8 @@ instance's draw, repeated on each of the instance's rows. A failure of the
 draw marks all of that instance's rows; a failure of one penalty marks only
 its own. Instances run one after another, each matrix product using every
 core through BLAS; the prediction (and with it AMP's threshold ratio) is
-computed once per lambda and shared.
+computed once per lambda and shared. A lambda whose prediction raises makes
+all of its cells error rows, with no solve and no AMP row.
 
 On an instance the penalties run from largest to smallest, as a path: each
 reference solve starts from the instance's most recent certified solution
@@ -77,6 +78,10 @@ def _list_or_none(item):
     return lambda value: None if value is None else parse(value)
 
 
+def _distinct(values):
+    return len(set(values)) == len(values)
+
+
 def _prior(value):
     return value if isinstance(value, Prior) else Prior.from_json(value)
 
@@ -99,9 +104,13 @@ class ExperimentConfig:
     delta: float = _key(finite_float)  # delta and sigma2 ranges: SEParams
     sigma2: float = _key(finite_float)
     prior: Prior = _key(_prior)
-    lambda_grid: tuple = _key(_list(finite_float), lambda v: min(v) > 0, "positive entries")
-    N_list: tuple = _key(_list(_integer), lambda v: min(v) >= 2, "entries >= 2")
-    seeds: tuple = _key(_list(_integer), lambda v: min(v) >= 0, "entries >= 0")
+    # distinct entries: a repeated one would make a second copy of its cells
+    lambda_grid: tuple = _key(_list(finite_float), lambda v: min(v) > 0 and _distinct(v),
+                              "distinct positive entries")
+    N_list: tuple = _key(_list(_integer), lambda v: min(v) >= 2 and _distinct(v),
+                         "distinct entries >= 2")
+    seeds: tuple = _key(_list(_integer), lambda v: min(v) >= 0 and _distinct(v),
+                        "distinct entries >= 0")
     ensemble: str = _key(_string, lambda v: v in ENSEMBLES, f"one of {sorted(ENSEMBLES)}",
                          default="gaussian")
     amp_t_max: int = _key(_integer, lambda v: v >= 1, "at least 1", default=200)
@@ -190,10 +199,11 @@ RECORD_COLUMNS = tuple("lambda" if f.name == "lam" else f.name for f in fields(E
 
 
 def _error_record(config, lam, N, seed, prediction, exc):
-    return ExperimentRecord(
-        lam=lam, N=N, seed=seed, ensemble=config.ensemble,
-        mse_predicted=prediction.mse_predicted, l1_predicted=prediction.l1_predicted,
-        error=f"{type(exc).__name__}: {exc}")
+    """A failed cell; `prediction` is None when the prediction itself failed."""
+    predicted = {} if prediction is None else dict(mse_predicted=prediction.mse_predicted,
+                                                   l1_predicted=prediction.l1_predicted)
+    return ExperimentRecord(lam=lam, N=N, seed=seed, ensemble=config.ensemble,
+                            error=f"{type(exc).__name__}: {exc}", **predicted)
 
 
 def _certified_solve(config, inst, lam, start):
@@ -233,19 +243,21 @@ def _record(config, inst, lam, prediction, sol, state,
 
 
 def _run_instance(config, N, seed, predictions):
-    """Every penalty of the grid on the (N, seed) instance, one record each
-    (grouping, path, stack and failure rules: see the module docstring)."""
+    """Every penalty of `predictions` on the (N, seed) instance, one record
+    each (grouping, path, stack and failure rules: see the module docstring)."""
+    if not predictions:  # every prediction failed: nothing to draw the matrix for
+        return []
     try:
         t0 = time.perf_counter()
         inst = generate(config.se_params, N, config.ensemble, seed)
         wall_time_generate = time.perf_counter() - t0
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return [_error_record(config, lam, N, seed, predictions[lam], exc)
-                for lam in config.lambda_grid]
+                for lam in predictions]
     records = []
     solved = []  # (lam, certified solution, solve time), in path order
     start = None
-    for lam in sorted(config.lambda_grid, reverse=True):
+    for lam in sorted(predictions, reverse=True):
         try:
             t1 = time.perf_counter()
             # a solve that raises leaves the last certified start in place
@@ -275,12 +287,19 @@ def run_sweep(config, seed_base=0):
     """All (lambda, N, seed) cells of the config; failures become error-tagged records.
 
     Deterministic given (config, seed_base) apart from the wall times; the
-    result is sorted by (lambda, N, seed).
+    result is sorted by (lambda, N, seed). A penalty whose prediction raises
+    makes every one of its cells an error row, with no solve and no AMP row.
     """
     params = config.se_params
-    predictions = {lam: predicted_risk(params, lam) for lam in config.lambda_grid}
-    records = [r for N in config.N_list for seed in config.seeds
-               for r in _run_instance(config, N, seed_base + seed, predictions)]
+    predictions, records = {}, []
+    for lam in config.lambda_grid:
+        try:
+            predictions[lam] = predicted_risk(params, lam)
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            records += [_error_record(config, lam, N, seed_base + seed, None, exc)
+                        for N in config.N_list for seed in config.seeds]
+    records += [r for N in config.N_list for seed in config.seeds
+                for r in _run_instance(config, N, seed_base + seed, predictions)]
     records.sort(key=lambda r: (r.lam, r.N, r.seed))
     return records
 

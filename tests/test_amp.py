@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import amplasso.amp
 from amplasso.amp import amp_step, initial_state, run_amp, run_amp_grid
 from amplasso.errors import ConsistencyError, DivergenceError
-from amplasso.instances import generate
+from amplasso.instances import Instance, generate
 from amplasso.lasso import solve_lasso
 from amplasso.scalars import get_preset
 from amplasso.state_evolution import (SEParams, invert_calibration, predicted_risk,
@@ -20,6 +20,32 @@ FIG4 = SEParams(delta=0.64, sigma2=0.2, prior=get_preset("three_point_0.064"))
 
 def tiny_instance(seed=0, N=300):
     return generate(FIG4, N, "gaussian", seed)
+
+
+def overflowing_instance(y=1.0):
+    """A = [[1e200]]: a step whose threshold lets x off zero makes z or the
+    next pre-threshold vector overflow."""
+    return Instance(A=np.array([[1e200]]), x0=np.zeros(1), w=np.zeros(1), y=np.array([y]),
+                    seed=0, ensemble="gaussian", delta=1.0, sigma2=0.2)
+
+
+def poison_row(monkeypatch, doomed, value):
+    """Make the step's soft_threshold return value(pre, theta) instead on
+    the rows of the stack whose threshold is `doomed`."""
+    real = amplasso.amp.soft_threshold
+
+    def poisoned(pre, theta):
+        out = real(pre, theta)
+        rows = theta[:, 0] == doomed
+        out[rows] = value(pre[rows], theta[rows])
+        return out
+
+    monkeypatch.setattr(amplasso.amp, "soft_threshold", poisoned)
+
+
+def off_the_boundary(pre, theta):
+    """An x more than theta from pre: its boundary coordinate is 2."""
+    return pre - 2.0 * theta
 
 
 def certificate_norm(A, y, lam, x, pre, theta):
@@ -97,13 +123,12 @@ class TestAmpStep:
         with pytest.raises(ValueError):
             amp_step(state, inst.A, inst.y, theta=0.0)
 
-    def test_divergence_detected(self):
-        A = np.array([[1e200]])
-        y = np.array([1.0])
-        state = initial_state(y, 1)
-        with pytest.raises(DivergenceError):
-            for _ in range(4):
-                state = amp_step(state, A, y, theta=1.0)
+    def test_non_finite_rows_come_back_as_they_are(self):
+        inst = overflowing_instance()
+        state = initial_state(inst.y, 1, rows=2)
+        new = amp_step(state, inst.A, inst.y, np.array([1.0, 1e201]))
+        assert not np.isfinite(new.z[0]).all()
+        assert np.array_equal(new.x[1], [0.0]) and np.array_equal(new.z[1], inst.y)
 
     def test_stacked_rows_step_as_single_iterates(self):
         inst = tiny_instance(3, N=60)
@@ -118,15 +143,6 @@ class TestAmpStep:
                 assert_allclose(state.x[i], single.x, rtol=0, atol=1e-12)
                 assert_allclose(state.z[i], single.z, rtol=0, atol=1e-12)
                 assert state.onsager[i] == single.onsager
-
-    def test_stacked_divergence_names_its_rows(self):
-        A = np.array([[1e200]])
-        y = np.array([1.0])
-        state = initial_state(y, 1, rows=2)
-        state.z[0] = 0.0
-        with pytest.raises(DivergenceError) as info:
-            amp_step(state, A, y, np.array([1.0, 1.0]))
-        assert info.value.rows == [1] and info.value.t == 1
 
     def test_stacked_shapes_checked(self):
         inst = tiny_instance(4, N=40)
@@ -223,6 +239,26 @@ class TestRunAmp:
         sol = solve_lasso(inst.A, inst.y, lam, tol=1e-10)
         assert np.max(np.abs(state.x - sol.x_hat)) < 1e-6
 
+    def test_divergence_detected(self):
+        with pytest.raises(DivergenceError, match="non-finite iterate at t=1") as info:
+            run_amp(overflowing_instance(), FIG4, 1.0, alpha=1.0, threshold_policy="residual")
+        assert info.value.t == 1
+
+    def test_no_stop_on_the_first_step(self):
+        # the first threshold comes from alpha and ||y||, not lam: here it
+        # leaves x at 0, and x = 0 is not the minimiser at lam
+        inst = tiny_instance(14, N=200)
+        state, diag = run_amp(inst, FIG4, 2.0, threshold_policy="residual")
+        assert diag[0].delta_x_norm == 0.0 and state.t >= 2
+        sol = solve_lasso(inst.A, inst.y, 2.0, tol=1e-10)
+        assert np.count_nonzero(sol.x_hat) > 0
+        assert np.mean((state.x - sol.x_hat) ** 2) <= 1e-12
+
+    def test_t_max_of_one_stops_on_the_first_step(self):
+        state, diag = run_amp(tiny_instance(14, N=200), FIG4, 2.0, t_max=1,
+                              threshold_policy="residual")
+        assert state.t == len(diag) == 1
+
     def test_unknown_policy(self):
         inst = tiny_instance(8, N=50)
         with pytest.raises(ValueError):
@@ -283,19 +319,13 @@ class TestRunAmpGrid:
         kw = dict(t_max=80, stop_tol=1e-8, threshold_policy="residual")
         plain = run_amp_grid(inst, FIG4, GRID, alphas, **kw)
         doomed = plain[1][1][2].theta  # the middle row's third threshold
-        real = amplasso.amp._boundary_coords
-
-        def failing(pre, x_new, theta):
-            if theta == doomed:
-                raise ConsistencyError("forced")
-            return real(pre, x_new, theta)
-
-        monkeypatch.setattr(amplasso.amp, "_boundary_coords", failing)
+        poison_row(monkeypatch, doomed, off_the_boundary)
         forced = run_amp_grid(inst, FIG4, GRID, alphas, **kw)
-        assert isinstance(forced[1], ConsistencyError) and str(forced[1]) == "forced"
+        assert isinstance(forced[1], ConsistencyError)
+        assert str(forced[1]) == "subgradient entry exceeds 1 by 1.000e+00"
         assert_same_run(forced[0], plain[0])
         assert_same_run(forced[2], plain[2])
-        with pytest.raises(ConsistencyError, match="forced"):
+        with pytest.raises(ConsistencyError, match="exceeds 1 by"):
             run_amp(inst, FIG4, GRID[1], alpha=alphas[1], **kw)
 
     @pytest.mark.parametrize("step", [0, 2])
@@ -306,32 +336,37 @@ class TestRunAmpGrid:
         kw = dict(t_max=80, stop_tol=1e-8, threshold_policy="residual")
         plain = run_amp_grid(inst, FIG4, GRID, alphas, **kw)
         doomed = plain[1][1][step].theta
-        real = amplasso.amp.soft_threshold
-
-        def poisoned(x, theta):
-            out = real(x, theta)
-            out[theta[:, 0] == doomed] = np.nan
-            return out
-
-        monkeypatch.setattr(amplasso.amp, "soft_threshold", poisoned)
+        poison_row(monkeypatch, doomed, lambda pre, theta: np.full_like(pre, np.nan))
         CountingArray.products = 0
         forced = run_amp_grid(inst, FIG4, GRID, alphas, **kw)
         assert isinstance(forced[1], DivergenceError) and forced[1].t == step + 1
         assert_same_run(forced[0], plain[0])
         assert_same_run(forced[2], plain[2])
-        # the step that diverged runs again for the other rows
+        # the diverged row leaves the stack after its step; no step repeats
         longest = max(state.t for state, _ in (forced[0], forced[2]))
-        assert CountingArray.products == 2 * longest + 1 + 2
+        assert CountingArray.products == 2 * longest + 1
+
+    def test_stacked_divergence_names_its_rows(self):
+        # A^T y = 1e50: row 0 leaves 0 at once and overflows at its second
+        # step, while row 1's thresholds (~5e51) keep its x at 0, so it
+        # stops at that same step
+        inst = overflowing_instance(y=1e-150)
+        inst.A = inst.A.view(CountingArray)
+        CountingArray.products = 0
+        diverged, (state, diag) = run_amp_grid(inst, FIG4, [1.0, 1.0], [1.0, 1e52], t_max=10)
+        assert isinstance(diverged, DivergenceError) and diverged.t == 2
+        assert state.t == len(diag) == 2 and np.array_equal(state.x, [0.0])
+        assert CountingArray.products == 2 * 2 + 1
 
     def test_every_row_failing_returns_only_exceptions(self, monkeypatch):
         inst = tiny_instance(16, N=100)
-
-        def failing(pre, x_new, theta):
-            raise ConsistencyError("forced")
-
-        monkeypatch.setattr(amplasso.amp, "_boundary_coords", failing)
+        inst.A = inst.A.view(CountingArray)
+        monkeypatch.setattr(amplasso.amp, "soft_threshold", off_the_boundary)
+        CountingArray.products = 0
         runs = run_amp_grid(inst, FIG4, GRID, [2.0] * 3, t_max=5)
         assert all(isinstance(r, ConsistencyError) for r in runs)
+        # one step, and no row is left whose subgradient column needs a product
+        assert CountingArray.products == 2
         assert run_amp_grid(inst, FIG4, (), (), t_max=5) == []
 
     def test_invalid_arguments(self):

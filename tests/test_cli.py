@@ -91,6 +91,26 @@ def test_invalid_value_rejected_before_output(tmp_path, patch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lambda_grid", [1.0, 1.0, 2.0]), ("N_list", [120, 120]), ("seeds", [0, 0]),
+])
+def test_repeated_grid_entry_rejected_naming_the_key(tmp_path, capsys, key, value):
+    cfg = small_config(tmp_path, **{key: value})
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"config key {key}: expected distinct" in capsys.readouterr().err
+
+
+def test_failed_prediction_is_an_error_row(tmp_path):
+    cfg = small_config(tmp_path, lambda_grid=[0.8, 1e7])
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3 and lines[1].endswith(",")  # lambda = 0.8 solved
+    assert "ConvergenceError: no alpha" in lines[2]
+
+
 NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity
 
 

@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 
 import amplasso.amp
 import amplasso.experiments as exps
+import amplasso.instances
 import amplasso.lasso
-from amplasso.errors import ConsistencyError
 from amplasso.experiments import (CurveTables, ExperimentConfig, ExperimentRecord,
                                   dump_se_curves,
                                   minimum_lambda, run_sweep, write_curve_tables,
@@ -74,6 +74,7 @@ class TestConfig:
         {"alpha_grid": (NAN,)}, {"lambda_grid": (INF,)}, {"seeds": (-1,)},
         {"amp_stop_tol": NAN}, {"tau2_grid": (INF,)}, {"f_map_alpha": INF},
         {"lambda_bracket": (2.0, 0.5)}, {"alpha_grid": ()}, {"tau2_grid": ()},
+        {"lambda_grid": (1.0, 1.0, 2.0)}, {"N_list": (120, 120)}, {"seeds": (0, 0)},
     ])
     def test_validation_rejects(self, patch):
         obj = SMALL.to_json()
@@ -154,27 +155,53 @@ class TestRunSweep:
         inst = exps.generate(FIG4, 120, "gaussian", 0)
         doomed = (predicted_risk(FIG4, 0.6).alpha * float(np.linalg.norm(inst.y))
                   / math.sqrt(inst.n))
-        real = amplasso.amp._boundary_coords
+        real = amplasso.amp.soft_threshold
 
-        def failing(pre, x_new, theta):
-            if theta == doomed:
-                raise ConsistencyError("forced")
-            return real(pre, x_new, theta)
+        def failing(pre, theta):
+            # that row's x moves 2 theta from pre: its boundary coordinate is 2
+            out = real(pre, theta)
+            rows = theta[:, 0] == doomed
+            out[rows] = pre[rows] - 2.0 * theta[rows]
+            return out
 
         plain = run_sweep(SMALL)
-        monkeypatch.setattr(amplasso.amp, "_boundary_coords", failing)
+        monkeypatch.setattr(amplasso.amp, "soft_threshold", failing)
         forced = run_sweep(SMALL)
         names = [f.name for f in fields(ExperimentRecord)
                  if not f.name.startswith("wall_time_") and f.name not in AMP_ERRORS]
         for p, f in zip(plain, forced):
             if (f.lam, f.seed) == (0.6, 0):
-                assert f.error == "ConsistencyError: forced"
+                assert f.error == "ConsistencyError: subgradient entry exceeds 1 by 1.000e+00"
                 assert np.isnan(f.mse_amp) and np.isnan(f.mse_lasso)
                 continue
             assert f.error == ""
             assert [getattr(f, n) for n in names] == [getattr(p, n) for n in names]
             for n in AMP_ERRORS:
                 assert abs(getattr(f, n) - getattr(p, n)) <= 1e-12
+
+    def test_failed_prediction_marks_only_its_cells(self, monkeypatch):
+        real, solved, drawn = exps.solve_lasso, [], []
+
+        def spy(A, y, lam, **kw):
+            solved.append(lam)
+            return real(A, y, lam, **kw)
+
+        monkeypatch.setattr(exps, "solve_lasso", spy)
+        monkeypatch.setattr(exps, "generate", lambda *args: drawn.append(args) or
+                            amplasso.instances.generate(*args))
+        assert all(r.error for r in run_sweep(replace(SMALL, lambda_grid=(1e7,))))
+        assert drawn == []  # no penalty left to run, so no instance is drawn
+        records = run_sweep(replace(SMALL, lambda_grid=(0.6, 1e7)))
+        assert [(r.lam, r.seed) for r in records] == [(0.6, 0), (0.6, 1), (1e7, 0), (1e7, 1)]
+        for r in records[2:]:
+            assert r.error.startswith("ConvergenceError: no alpha")
+            assert np.isnan(r.mse_predicted) and np.isnan(r.mse_lasso) and np.isnan(r.mse_amp)
+            assert np.isnan(r.lasso_iterations) and np.isnan(r.amp_iterations)
+        assert solved == [0.6, 0.6]  # no solve, and so no AMP row, at the failed penalty
+        names = [f.name for f in fields(ExperimentRecord) if not f.name.startswith("wall_time_")]
+        alone = run_sweep(replace(SMALL, lambda_grid=(0.6,)))
+        assert [[getattr(r, n) for n in names] for r in records[:2]] == \
+            [[getattr(r, n) for n in names] for r in alone]
 
     def test_grid_order_does_not_change_rows(self):
         names = [f.name for f in fields(ExperimentRecord) if not f.name.startswith("wall_time_")]
