@@ -89,7 +89,7 @@ def amp_step(state, A, y, theta):
             or z.shape[:-1] != x.shape[:-1] or th.shape != x.shape[:-1]):
         raise ValueError(f"dimension mismatch: A {A.shape}, x {x.shape}, z {z.shape}, "
                          f"y {y.shape}, theta {th.shape}")
-    if (th <= 0).any():
+    if not (th > 0).all():
         raise ValueError(f"theta must be positive, got {theta}")
     th = th[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -167,18 +167,21 @@ def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
         of AmpDiagnostics), or the exception that stopped the row.
 
     Raises:
-        ValueError: unknown policy, t_max below 1, an alpha that is not
-            finite and positive, or alphas or sinks that do not match lams.
+        ValueError: unknown policy, t_max below 1, a penalty or an alpha
+            that is not finite and positive, or alphas or sinks that do not
+            match lams.
     """
     if threshold_policy not in ("se", "residual"):
         raise ValueError(f"unknown threshold policy {threshold_policy!r}")
-    if t_max < 1:
+    if not t_max >= 1:
         raise ValueError(f"t_max must be at least 1, got {t_max}")
     sinks = [None] * len(lams) if active_mask_sinks is None else list(active_mask_sinks)
     if not len(alphas) == len(sinks) == len(lams):
         raise ValueError(f"{len(lams)} penalties, {len(alphas)} alphas and {len(sinks)} sinks")
-    for alpha in alphas:
-        if not (math.isfinite(alpha) and alpha > 0):
+    for lam, alpha in zip(lams, alphas):
+        if not 0 < lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {lam}")
+        if not 0 < alpha < math.inf:
             raise ValueError(f"alpha must be finite and positive, got {alpha}")
     A, y, x0 = instance.A, instance.y, instance.x0
     n, N = A.shape

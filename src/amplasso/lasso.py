@@ -79,20 +79,16 @@ def _cost(r, x, lam):
 
 def _kkt_violation(g, x, lam):
     """kkt_residual given g = A^T (y - A x), so a caller holding g needs no product."""
-    on = x != 0.0
-    worst = 0.0
-    if (~on).any():
-        worst = max(worst, float(np.max(np.abs(g[~on]))) - lam)
-    if on.any():
-        worst = max(worst, float(np.max(np.abs(g[on] - lam * np.sign(x[on])))))
-    return max(worst, 0.0)
+    worst = np.where(x != 0.0, np.abs(g - lam * np.sign(x)), np.abs(g) - lam)
+    return float(np.max(worst, initial=0.0))
 
 
 def kkt_residual(A, y, x, lam):
     """Maximum violation of the optimality conditions at x.
 
     With g = A^T (y - A x): off the support, max(0, ||g||_inf - lambda);
-    on the support, max |g_i - lambda sign(x_i)|. Zero iff x is optimal.
+    on the support, max |g_i - lambda sign(x_i)|. Zero iff x is optimal;
+    NaN if g or x holds a NaN, so no tolerance certifies such an x.
     """
     return _kkt_violation(A.T @ (y - A @ x), x, lam)
 
@@ -155,12 +151,13 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
     the module docstring: it starts at ||A||_F^2 / min(n, N) and doubles
     after each step with ||A d||^2 > L ||d||^2, and the momentum resets
     after such a step and whenever the cost increases. The KKT residual is
-    checked every 10 steps. When a check fails with the same signed support
-    S, s as the previous check and 0 < |S| < n, up to 9 conjugate-gradient
-    steps on A_S^T A_S x_S = A_S^T y - lambda s start from the checked
-    iterate, and FISTA continues from where they stop, so every check, and
-    every certificate, comes from a fresh gradient at a FISTA iterate. A
-    signed support whose finish reached the tolerance or flipped a sign is
+    checked when the step count reaches a multiple of 10, and at max_iter.
+    When a check fails with the same signed support S, s as the previous
+    check and 0 < |S| < n, up to 9 conjugate-gradient steps on
+    A_S^T A_S x_S = A_S^T y - lambda s start from the checked iterate, and
+    FISTA continues from where they stop, so every check, and every
+    certificate, comes from a fresh gradient at a FISTA iterate. A signed
+    support whose finish reached the tolerance or flipped a sign is
     not solved on again; one that ran out of steps is, from the next check.
 
     The iterate starts at 0, or at `start`, a LassoSolution of the same A
@@ -171,19 +168,20 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
 
     `iterations` counts FISTA and conjugate-gradient steps, each two
     products with A, under one max_iter; with one product per check and one
-    for the returned cost, a solve makes 2 iterations + checks + 1 products.
-    If max_iter is exhausted the last iterate is returned with
-    converged=False.
+    for the returned image, a solve makes 2 iterations + checks + 1
+    products. If max_iter is exhausted the last iterate is returned with
+    converged=False, as it is at the first check whose residual is NaN (a
+    NaN in A, y or the start): NaN is never certified.
 
     Raises:
         ValueError: lam, tol or max_iter out of range, or a start whose
             x_hat or image does not fit the shape of A.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if tol <= 0:
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
+    if not max_iter >= 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -206,7 +204,7 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
     cost_prev = _cost(y - Ax, x, lam)
     signs_prev = None
     settled = set()
-    it = since_check = 0
+    it = 0
     while True:
         beta = (tk_prev - 1.0) / tk
         # the gradient point is a linear combination of stored iterates, so
@@ -231,14 +229,14 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
         Ax_prev, Ax = Ax, Ax_new
         cost_prev = cost
         it += 1
-        since_check += 1
+        # checks fall on multiples of 10, since a finish never crosses one;
         # the loop always ends on a check: at convergence or at max_iter
-        if since_check < _KKT_CHECK_EVERY and it < max_iter:
+        if it % _KKT_CHECK_EVERY and it < max_iter:
             continue
-        since_check = 0
         corr = A.T @ r
         kkt = _kkt_violation(corr, x, lam)
-        if kkt <= tol or it == max_iter:
+        # a NaN residual ends the solve uncertified: a NaN iterate stays NaN
+        if not kkt > tol or it == max_iter:
             break
         signs = np.sign(x)
         # a cold solve's support is transient until two checks agree; a warm
@@ -250,18 +248,17 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
             budget = min(_KKT_CHECK_EVERY - 1, max_iter - 1 - it)
             x, Ax, steps, done = _cg_finish(A, lam, tol, x, Ax, corr, signs, budget)
             it += steps
-            since_check = steps
             if done:
                 settled.add(signs.tobytes())
             # the first FISTA step from the finish's point takes no momentum
             x_prev, Ax_prev = x, Ax
         signs_prev = signs
-    image = A @ x
+    # the loop ends on a check after a FISTA step, so cost is C(x)
     return LassoSolution(
         x_hat=x,
-        image=image,
-        cost=_cost(y - image, x, lam),
-        kkt_residual=float(kkt),
+        image=A @ x,
+        cost=cost,
+        kkt_residual=kkt,
         iterations=it,
         converged=bool(kkt <= tol),
     )

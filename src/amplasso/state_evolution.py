@@ -21,6 +21,7 @@ from .scalars import (
     cross_mse_functional,
     eta_prime_expectation,
     eta_times_signal_expectation,
+    finite_float,
     gaussian_pdf,
     l1_expectation,
     mse_functional,
@@ -43,10 +44,14 @@ class SEParams:
     prior: Prior
 
     def __post_init__(self):
-        if not (self.delta > 0 and np.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not (self.sigma2 > 0 and np.isfinite(self.sigma2)):
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        for name in ("delta", "sigma2"):
+            try:
+                value = finite_float(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
         if not isinstance(self.prior, Prior):
             raise ValueError("prior must be a Prior instance")
 
@@ -75,7 +80,7 @@ class TwoTimeCov:
 
 def se_map(params, tau2, theta):
     """F(tau^2, theta) = sigma^2 + E{[eta(X0 + tau Z; theta) - X0]^2} / delta."""
-    if tau2 <= 0:
+    if not tau2 > 0:
         raise ValueError(f"tau2 must be positive, got {tau2}")
     return params.sigma2 + mse_functional(params.prior, float(np.sqrt(tau2)), theta) / params.delta
 
@@ -148,7 +153,7 @@ def alpha_min(delta):
     is returned. The root is cached per delta (the 128 most recent): every
     fixed point of a calibration checks its alpha against it.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if _edge_gap(0.0, delta) <= 0.0:
         return 0.0
@@ -168,14 +173,15 @@ def fixed_point(params, alpha, tau2_init=None):
     trajectory is asserted; the iteration cap is 1e5.
 
     Raises:
-        ValueError: alpha <= alpha_min(delta), where the fixed point may not exist.
+        ValueError: alpha not above alpha_min(delta) (NaN included), where the
+            fixed point may not exist.
         ConvergenceError: iteration cap reached (carries the partial trajectory).
     """
     amin = alpha_min(params.delta)
-    if alpha <= amin:
-        raise ValueError(f"alpha={alpha} is at or below alpha_min={amin:.6g}; fixed point may not exist")
+    if not alpha > amin:
+        raise ValueError(f"alpha must exceed alpha_min={amin:.6g}, got {alpha}; fixed point may not exist")
     t2 = params.tau2_init if tau2_init is None else float(tau2_init)
-    if t2 <= 0:
+    if not t2 > 0:
         raise ValueError(f"tau2_init must be positive, got {tau2_init}")
     residual_tol = 1e-10 / max(1.0, params.delta)
     seq = [t2]
@@ -214,9 +220,9 @@ def se_derivative(params, tau2, alpha):
     As tau^2 -> infinity this tends to (2/delta)[(1+alpha^2)Phi(-alpha)
     - alpha phi(alpha)], the quantity defining alpha_min.
     """
-    if tau2 <= 0:
+    if not tau2 > 0:
         raise ValueError(f"tau2 must be positive, got {tau2}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     tau = np.sqrt(tau2)
     a = params.prior.atoms_arr
@@ -363,11 +369,11 @@ def two_time_recursion(params, alpha, T):
             numerical tolerance (exact positive definiteness degrades at
             large T as rows become collinear in exact arithmetic too).
     """
-    if T < 1:
+    if not T >= 1:
         raise ValueError(f"T must be a positive integer, got {T}")
     amin = alpha_min(params.delta)
-    if alpha <= amin:
-        raise ValueError(f"alpha={alpha} is at or below alpha_min={amin:.6g}")
+    if not alpha > amin:
+        raise ValueError(f"alpha must exceed alpha_min={amin:.6g}, got {alpha}")
     prior, delta = params.prior, params.delta
 
     tau2 = [params.tau2_init]

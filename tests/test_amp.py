@@ -376,6 +376,13 @@ class TestRunAmpGrid:
             with pytest.raises(ValueError):
                 run_amp_grid(inst, FIG4, **args)
 
+    @pytest.mark.parametrize("policy", ["se", "residual"])
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf])
+    def test_penalty_not_finite_and_positive(self, lam, policy):
+        inst = tiny_instance(17, N=100)
+        with pytest.raises(ValueError, match="lambda"):
+            run_amp_grid(inst, FIG4, [1.0, lam], [2.0, 2.0], threshold_policy=policy)
+
 
 class TestSubgradientResidual:
     def test_matches_streamed_diagnostics(self):

@@ -15,6 +15,7 @@ import amplasso.amp
 import amplasso.experiments as exps
 import amplasso.instances
 import amplasso.lasso
+from amplasso.errors import ConvergenceError
 from amplasso.experiments import (CurveTables, ExperimentConfig, ExperimentRecord,
                                   dump_se_curves,
                                   minimum_lambda, run_sweep, write_curve_tables,
@@ -131,6 +132,12 @@ class TestRunSweep:
         for r in records:
             assert r.error.startswith("ConvergenceError: ")
             assert np.isnan(r.mse_lasso) and np.isnan(r.kkt_residual)
+
+    def test_nan_data_is_never_certified(self):
+        inst = amplasso.instances.generate(FIG4, 120, "gaussian", 0)
+        inst.y[5] = NAN
+        with pytest.raises(ConvergenceError, match="KKT residual nan"):
+            exps._certified_solve(SMALL, inst, 0.6, None)
 
     def test_cell_failure_is_isolated(self, monkeypatch):
         real = exps.solve_lasso

@@ -346,6 +346,56 @@ class TestOptimalityStructure:
         assert np.isfinite(sol.kkt_residual)
 
 
+def per_coordinate_violation(g, x, lam):
+    """The KKT violation by a loop over coordinates, as the docstring states it."""
+    worst = 0.0
+    for gi, xi in zip(g.tolist(), x.tolist()):
+        if xi != 0.0:
+            worst = max(worst, abs(gi - lam * np.sign(xi)))
+        else:
+            worst = max(worst, abs(gi) - lam)
+    return worst
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_a_per_coordinate_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        A, y = small_instance(seed, n=20, N=40, k=5)
+        lam = 0.1
+        x = solve_lasso(A, y, lam, tol=1e-11).x_hat
+        for probe in (x, x + 1e-3 * rng.normal(size=40), np.zeros(40)):
+            g = A.T @ (y - A @ probe)
+            assert kkt_residual(A, y, probe, lam) == per_coordinate_violation(g, probe, lam)
+        # A = I makes g = y - x exactly on these dyadic values, and the
+        # multiples of 1/4 put many entries exactly at lambda = 1/2, on and off
+        # the support
+        x = rng.integers(-2, 3, 200) * 0.5
+        g = rng.integers(-3, 4, 200) * 0.25
+        expect = per_coordinate_violation(g, x, 0.5)
+        assert kkt_residual(np.eye(200), x + g, x, 0.5) == expect
+        # every condition met, most of them with equality: exactly 0
+        optimal = np.where(x != 0.0, 0.5 * np.sign(x), np.clip(g, -0.5, 0.5))
+        assert kkt_residual(np.eye(200), x + optimal, x, 0.5) == 0.0
+
+    def test_nan_is_never_zero(self):
+        A, y = small_instance(4, n=20, N=40, k=5)
+        x = solve_lasso(A, y, 0.1, tol=1e-11).x_hat
+        bad_y, bad_x = y.copy(), x.copy()
+        bad_y[3] = np.nan
+        bad_x[np.flatnonzero(x == 0.0)[0]] = np.nan
+        for args in ((A, bad_y, x), (A, y, bad_x), (A, y, np.full(40, np.nan))):
+            assert np.isnan(kkt_residual(*args, 0.1))
+
+    def test_nan_data_is_not_certified(self):
+        A, y = small_instance(4, n=20, N=40, k=5)
+        y[3] = np.nan
+        sol = solve_lasso(A, y, 0.1)
+        assert not sol.converged and np.isnan(sol.kkt_residual)
+        # NaN iterates stay NaN, so the first check ends the solve
+        assert sol.iterations == 10
+
+
 class TestHelpers:
     def test_spectral_norm_matches_svd(self):
         rng = np.random.default_rng(2)
@@ -383,6 +433,14 @@ class TestHelpers:
         A, y = small_instance(1)
         with pytest.raises(ValueError):
             solve_lasso(A, y, -0.5)
+
+    @pytest.mark.parametrize("lam, tol, max_iter", [
+        (np.nan, 1e-8, 100), (np.inf, 1e-8, 100), (0.0, 1e-8, 100),
+        (0.1, np.nan, 100), (0.1, 0.0, 100), (0.1, 1e-8, np.nan)])
+    def test_non_finite_or_nonpositive_parameters(self, lam, tol, max_iter):
+        A, y = small_instance(1)
+        with pytest.raises(ValueError):
+            solve_lasso(A, y, lam, tol=tol, max_iter=max_iter)
 
     def test_invalid_max_iter(self):
         A, y = small_instance(1)

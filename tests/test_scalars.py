@@ -145,10 +145,20 @@ class TestMseFunctional:
 
     def test_huge_threshold_gives_prior_second_moment(self):
         assert_allclose(mse_functional(THREE, 0.5, 60.0), THREE.second_moment, rtol=1e-12)
+        # above ~1.3e154 theta^2 overflows; the limit is the same
+        for theta in (1e201, np.float64(1e201), np.inf):
+            assert mse_functional(THREE, 0.5, theta) == THREE.second_moment
 
     def test_nonnegative(self):
         for theta in (0.01, 0.5, 2.0, 10.0):
             assert mse_functional(THREE, 0.7, theta) >= 0.0
+
+
+@pytest.mark.parametrize("functional", [mse_functional, eta_prime_expectation, l1_expectation])
+@pytest.mark.parametrize("tau, theta", [(np.nan, 1.0), (1.0, np.nan), (0.0, 1.0), (1.0, -1.0)])
+def test_nan_or_out_of_range_arguments_rejected(functional, tau, theta):
+    with pytest.raises(ValueError):
+        functional(THREE, tau, theta)
 
 
 class TestEtaPrimeExpectation:
@@ -170,6 +180,7 @@ class TestL1Expectation:
 
     def test_large_threshold_kills_everything(self):
         assert l1_expectation(THREE, 0.5, 80.0) < 1e-12
+        assert l1_expectation(THREE, 0.5, 1e201) == 0.0
 
 
 class TestCrossMseFunctional:

@@ -284,6 +284,32 @@ class TestZeroWeightAtoms:
             assert_allclose(getattr(other, name), getattr(base, name), rtol=1e-12, atol=0.0)
 
 
+def test_threshold_whose_square_overflows_cuts_everything():
+    # every coordinate is cut: F = sigma^2 + E{X0^2} / delta
+    assert se_map(FIG4, 0.3, 1e201) == FIG4.tau2_init
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: fixed_point(FIG4, math.nan), "alpha"),
+    (lambda: fixed_point(FIG4, 2.0, tau2_init=math.nan), "tau2_init"),
+    (lambda: se_map(FIG4, math.nan, 1.0), "tau2"),
+    (lambda: se_map(FIG4, 1.0, math.nan), "theta"),
+    (lambda: se_derivative(FIG4, 1.0, math.nan), "alpha"),
+    (lambda: se_derivative(FIG4, math.nan, 1.0), "tau2"),
+    (lambda: two_time_recursion(FIG4, math.nan, 3), "alpha_min"),
+    (lambda: alpha_min(math.nan), "delta"),
+    (lambda: invert_calibration(FIG4, math.nan), "lambda"),
+    (lambda: SEParams(delta=True, sigma2=0.2, prior=FIG4.prior), "delta"),
+    (lambda: SEParams(delta=0.64, sigma2=math.nan, prior=FIG4.prior), "sigma2"),
+    (lambda: SEParams(delta=-0.64, sigma2=0.2, prior=FIG4.prior), "delta"),
+], ids=["fixed_point", "fixed_point_start", "se_map_tau2", "se_map_theta",
+        "se_derivative_alpha", "se_derivative_tau2", "two_time_recursion", "alpha_min",
+        "invert_calibration", "SEParams_bool", "SEParams_nan", "SEParams_negative"])
+def test_nan_or_nonpositive_parameter_rejected_at_once(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
 class TestTwoTimeRecursion:
     def test_diagonal_matches_one_dimensional_recursion(self):
         alpha = 2.0
