@@ -25,14 +25,14 @@ from .scalars import (Prior, cross_mse_functional, eta_prime_expectation,
 from .state_evolution import (PredictionBundle, SEParams, SETrajectory, TwoTimeCov,
                               alpha_min, calibrate_lambda, fixed_point,
                               invert_calibration, predicted_risk, se_derivative,
-                              se_map, two_time_recursion)
+                              se_map, se_sequence, two_time_recursion)
 
 __all__ = [
     "__version__",
     "AmplassoError", "ConsistencyError", "ConvergenceError", "DivergenceError",
     "Prior", "soft_threshold", "mse_functional",
     "eta_prime_expectation", "l1_expectation", "cross_mse_functional", "get_preset",
-    "SEParams", "SETrajectory", "TwoTimeCov", "PredictionBundle", "se_map",
+    "SEParams", "SETrajectory", "TwoTimeCov", "PredictionBundle", "se_map", "se_sequence",
     "alpha_min", "fixed_point", "se_derivative", "calibrate_lambda",
     "invert_calibration", "predicted_risk", "two_time_recursion",
     "Instance", "generate", "singular_edge_check",

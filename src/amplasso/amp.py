@@ -21,6 +21,11 @@ always makes 2 max t + 1 products. A row's sums inside a shared product run
 in another order than they would alone, so its iterates can depend on the
 stack's other rows within rounding (a few 1e-15). run_amp is the one-row
 case, whose products are matrix-vector products.
+
+A step records the statistics of every row in one array (a row per field, a
+column per penalty); a row's AmpDiagnostics are built from its column once
+it stops, with tau2_se from state_evolution.se_sequence, which every
+instance at the same alpha shares.
 """
 
 from __future__ import annotations
@@ -31,12 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, DivergenceError
-from .scalars import soft_threshold
-from .state_evolution import invert_calibration, se_map
+from .scalars import integer, soft_threshold
+from .state_evolution import invert_calibration, se_sequence
 
 _SIGN_SLACK = 1e-12
-# the near-boundary set handed to run_amp's active_mask_sink: coordinates
-# whose boundary value |(pre - x)/theta| is at least 1 - _ACTIVE_GAMMA
+# active_set_size counts the near-boundary coordinates: those whose
+# boundary value |(pre - x)/theta| is at least 1 - _ACTIVE_GAMMA
 _ACTIVE_GAMMA = 0.1
 
 
@@ -142,7 +147,7 @@ def _row(state, i):
 
 
 def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
-                 threshold_policy="se", active_mask_sinks=None):
+                 threshold_policy="se"):
     """Run the iteration at every penalty of `lams` on one instance, as one stack.
 
     Row l is run_amp at lams[l] with threshold ratio alphas[l]: its own
@@ -159,25 +164,24 @@ def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
     after t_1, ..., t_L steps cost 2 max_l t_l + 1 products, also when some
     of them fail.
 
-    active_mask_sinks, if given, holds one run_amp active_mask_sink (a dict
-    or None) per row.
+    A step records every row's statistics in one array, a row per field and
+    a column per penalty; a stopped row's AmpDiagnostics come from its column.
 
     Returns:
         One entry per penalty, in the order of lams: (final AmpState, list
         of AmpDiagnostics), or the exception that stopped the row.
 
     Raises:
-        ValueError: unknown policy, t_max below 1, a penalty or an alpha
-            that is not finite and positive, or alphas or sinks that do not
-            match lams.
+        ValueError: unknown policy, t_max not an integer or below 1, a
+            penalty or an alpha that is not finite and positive, or alphas
+            that do not match lams.
     """
     if threshold_policy not in ("se", "residual"):
         raise ValueError(f"unknown threshold policy {threshold_policy!r}")
-    if not t_max >= 1:
+    if not integer(t_max) >= 1:
         raise ValueError(f"t_max must be at least 1, got {t_max}")
-    sinks = [None] * len(lams) if active_mask_sinks is None else list(active_mask_sinks)
-    if not len(alphas) == len(sinks) == len(lams):
-        raise ValueError(f"{len(lams)} penalties, {len(alphas)} alphas and {len(sinks)} sinks")
+    if len(alphas) != len(lams):
+        raise ValueError(f"{len(lams)} penalties and {len(alphas)} alphas")
     for lam, alpha in zip(lams, alphas):
         if not 0 < lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {lam}")
@@ -188,18 +192,18 @@ def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
 
     # (final AmpState, diagnostics) or the exception that stopped the row
     outcomes = [None] * len(lams)
-    diagnostics = [[] for _ in lams]
-    # per row of the stack: its penalty's index, lam, alpha and SE variance;
-    # the SE sequence advances with the iterates, so a row that stops early
-    # computes only the values it uses
+    # per step, a row each for theta, ||z||^2/n, the MSE vs x0, delta x, the
+    # active-set size and the subgradient norm (the next step's product
+    # finishes it), and a column per penalty, nan off the stack
+    steps = []
+    # per row of the stack: its penalty's index, lam and alpha
     live = np.arange(len(lams))
     lam, alpha = np.array(lams, dtype=float), np.array(alphas, dtype=float)
-    tau2 = np.full(len(lams), params.tau2_init)
     state = initial_state(y, N, rows=len(lams))
     stopped = []  # (penalty index, final state, lam v, A^T z_prev) per row
     while live.size:
         if threshold_policy == "se":
-            theta = alpha * np.sqrt(tau2)
+            theta = alpha * np.sqrt([se_sequence(params, a, state.t)[-1] for a in alpha])
         elif state.t == 0:
             theta = alpha * float(np.linalg.norm(y)) / math.sqrt(n)
         else:
@@ -210,58 +214,51 @@ def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
         with np.errstate(over="ignore", invalid="ignore"):
             atz = new.pre - state.x  # A^T z of the consumed states
             if state.t:
-                sg = _subgradient_norms(lam_v, state.onsager, atz_prev, atz)
+                steps[-1][-1, live] = _subgradient_norms(lam_v, state.onsager, atz_prev, atz)
+            steps.append(np.full((6, len(lams)), np.nan))
             v = (new.pre - new.x) / theta[:, None]  # +-1 on the support, inside off it
             abs_v = np.abs(v)
             excess = abs_v.max(axis=1) - 1.0
             finite = np.isfinite(new.x).all(axis=1) & np.isfinite(new.z).all(axis=1)
             consistent = excess <= _SIGN_SLACK
-            mask = abs_v >= 1.0 - _ACTIVE_GAMMA
             delta_x = np.linalg.norm(new.x - state.x, axis=1) / math.sqrt(N)
-            z_norm2 = np.einsum("ij,ij->i", new.z, new.z) / n
-            mse = np.mean((new.x - x0) ** 2, axis=1)
+            steps[-1][:-1, live] = (theta, np.einsum("ij,ij->i", new.z, new.z) / n,
+                                    np.mean((new.x - x0) ** 2, axis=1), delta_x,
+                                    np.count_nonzero(abs_v >= 1.0 - _ACTIVE_GAMMA, axis=1))
             # never on the first step: its threshold comes from alpha, not
             # from lam, so x_1 = 0 = x_0 says nothing about the minimiser
             stop = (delta_x <= stop_tol) & (t > 1) | (t == t_max)
-        tau2 = np.array([se_map(params, t2, a * math.sqrt(t2)) for t2, a in zip(tau2, alpha)])
         lam_v = lam[:, None] * v
-        for i, k in enumerate(live):
-            if state.t:
-                diagnostics[k][-1].subgradient_norm = float(sg[i])
+        keep = finite & consistent & ~stop
+        for i in np.flatnonzero(~keep):
+            k = live[i]
             if not finite[i]:
                 outcomes[k] = DivergenceError(f"non-finite iterate at t={t}", t=t)
-                continue
-            if not consistent[i]:
+            elif not consistent[i]:
                 outcomes[k] = ConsistencyError(f"subgradient entry exceeds 1 by {excess[i]:.3e}")
-                continue
-            if sinks[k] is not None:
-                sinks[k][t] = mask[i].copy()  # a view would keep the whole stack's mask
-            diagnostics[k].append(AmpDiagnostics(
-                t=t, theta=float(theta[i]), tau2_se=float(tau2[i]),
-                z_norm2_over_n=float(z_norm2[i]), mse_vs_x0=float(mse[i]),
-                delta_x_norm=float(delta_x[i]), subgradient_norm=float("nan"),
-                active_set_size=int(np.count_nonzero(mask[i]))))
-            if stop[i]:
+            else:
                 # copies, so that a stopped row does not hold on to the stack
                 stopped.append((k, _row(new, i), lam_v[i].copy(), atz[i].copy()))
-        keep = finite & consistent & ~stop
         # lam v and A^T z_prev of this step go on with the rows that stay:
         # the next product with A^T finishes their subgradient column
-        state, live, lam, alpha, tau2, lam_v, atz_prev = _rows(
-            keep, new, live, lam, alpha, tau2, lam_v, atz)
+        state, live, lam, alpha, lam_v, atz_prev = _rows(keep, new, live, lam, alpha, lam_v, atz)
 
     if stopped:
-        index, finals, lam_vs, atzs = zip(*stopped)
-        sg = _subgradient_norms(np.array(lam_vs), np.array([f.onsager for f in finals]),
-                                np.array(atzs), np.array([f.z for f in finals]) @ A)
-        for k, final, norm in zip(index, finals, sg):
-            diagnostics[k][-1].subgradient_norm = float(norm)
-            outcomes[k] = (final, diagnostics[k])
+        index, finals, lam_vs, atzs = map(list, zip(*stopped))
+        record = np.stack(steps)  # steps x fields x penalties
+        record[[f.t - 1 for f in finals], -1, index] = _subgradient_norms(
+            np.array(lam_vs), np.array([f.onsager for f in finals]),
+            np.array(atzs), np.array([f.z for f in finals]) @ A)
+        for k, final in zip(index, finals):
+            tau2 = se_sequence(params, alphas[k], final.t)
+            outcomes[k] = (final, [AmpDiagnostics(s, theta, tau2[s], z2, mse, dx, sg, int(size))
+                                   for s, (theta, z2, mse, dx, size, sg)
+                                   in enumerate(record[:final.t, :, k].tolist(), 1)])
     return outcomes
 
 
 def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
-            threshold_policy="se", active_mask_sink=None, alpha=None):
+            threshold_policy="se", alpha=None):
     """Run the iteration with thresholds theta_t = alpha * tau_t.
 
     alpha is invert_calibration(lam), computed here unless the caller passes
@@ -282,10 +279,11 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
     matrix products by reusing each step's A^T z (one extra product at the
     final iterate only), so a run of t steps makes 2t + 1 products.
 
-    If active_mask_sink is a dict it receives {t: boolean mask} of the
-    near-boundary set at every iteration: the coordinates whose boundary
-    value |(pre - x)/theta| is at least 1 - _ACTIVE_GAMMA (0.9). The value
-    is exactly 1 on the support, so the set always contains it.
+    Diagnostics row t describes the state after step t. Its tau2_se is
+    tau_t^2 of state_evolution.se_sequence at alpha under either policy, and
+    its active_set_size counts the coordinates whose boundary value
+    |(pre - x)/theta| is at least 1 - _ACTIVE_GAMMA (0.9), a set that holds
+    the support. amp_step with the recorded thresholds replays the run.
 
     This is the one-row case of run_amp_grid, which runs several penalties
     on one instance together.
@@ -300,7 +298,7 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
     if alpha is None:
         alpha = invert_calibration(params, lam)
     (outcome,) = run_amp_grid(instance, params, [lam], [alpha], t_max, stop_tol,
-                              threshold_policy, [active_mask_sink])
+                              threshold_policy)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

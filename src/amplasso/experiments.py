@@ -32,7 +32,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import MISSING, astuple, dataclass, field, fields
@@ -44,19 +43,13 @@ from .amp import run_amp_grid
 from .errors import ConvergenceError
 from .instances import ENSEMBLES, generate
 from .lasso import solve_lasso
-from .scalars import Prior, finite_float
+from .scalars import Prior, finite_float, integer
 from .state_evolution import SEParams, _penalty_at, alpha_min, fixed_point, predicted_risk, se_map
 
 # minimum_lambda: points of the coarse grid, and the Brent search's
 # absolute x tolerance as a fraction of max(1, lambda)
 _COARSE_POINTS = 17
 _SEARCH_REL_TOL = 1e-4
-
-
-def _integer(value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def _string(value):
@@ -107,18 +100,18 @@ class ExperimentConfig:
     # distinct entries: a repeated one would make a second copy of its cells
     lambda_grid: tuple = _key(_list(finite_float), lambda v: min(v) > 0 and _distinct(v),
                               "distinct positive entries")
-    N_list: tuple = _key(_list(_integer), lambda v: min(v) >= 2 and _distinct(v),
+    N_list: tuple = _key(_list(integer), lambda v: min(v) >= 2 and _distinct(v),
                          "distinct entries >= 2")
-    seeds: tuple = _key(_list(_integer), lambda v: min(v) >= 0 and _distinct(v),
+    seeds: tuple = _key(_list(integer), lambda v: min(v) >= 0 and _distinct(v),
                         "distinct entries >= 0")
     ensemble: str = _key(_string, lambda v: v in ENSEMBLES, f"one of {sorted(ENSEMBLES)}",
                          default="gaussian")
-    amp_t_max: int = _key(_integer, lambda v: v >= 1, "at least 1", default=200)
+    amp_t_max: int = _key(integer, lambda v: v >= 1, "at least 1", default=200)
     amp_stop_tol: float = _key(finite_float, default=1e-8)
     amp_policy: str = _key(_string, lambda v: v in ("se", "residual"), "'se' or 'residual'",
                            default="residual")
     lasso_tol: float = _key(finite_float, lambda v: v > 0, "a positive number", default=1e-8)
-    lasso_max_iter: int = _key(_integer, lambda v: v >= 1, "at least 1", default=50_000)
+    lasso_max_iter: int = _key(integer, lambda v: v >= 1, "at least 1", default=50_000)
     out: str = _key(_string, default="results")
     # read by se-curves (the two grids default to dump_se_curves' own) and min-lambda
     alpha_grid: tuple | None = _key(_list_or_none(finite_float), default=None)

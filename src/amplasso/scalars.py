@@ -84,6 +84,18 @@ def finite_float(value):
     return float(value)
 
 
+def integer(value):
+    """`value` as an int, if it is an integral, non-boolean number.
+
+    Raises:
+        ValueError: for a boolean, a float (2.5 and 2.0 alike), an infinity
+            or a non-number.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Prior:
     """Finite discrete signal prior: atoms with probability weights.
@@ -162,8 +174,10 @@ def get_preset(name):
 
 
 def _check_tau_theta(tau, theta):
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau} (the tau=0 limit is the caller's job)")
+    """tau must be finite and positive; theta may be +inf, where each
+    functional returns its limit (eta(x; inf) = 0 for every x)."""
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau} (the tau=0 limit is the caller's job)")
     if not theta >= 0:
         raise ValueError(f"theta must be nonnegative, got {theta}")
 
@@ -223,6 +237,8 @@ def l1_expectation(prior, tau, theta):
     it is -(a + tau z + theta) > 0, and the dead zone contributes nothing.
     """
     _check_tau_theta(tau, theta)
+    if theta == math.inf:
+        return 0.0
     a = prior.atoms_arr
     cp = (theta - a) / tau
     cm = (-theta - a) / tau
@@ -238,6 +254,8 @@ def _eta_mean(mean, sd, theta):
     piecewise smooth after conditioning.
     """
     mean = np.asarray(mean, dtype=float)
+    if theta == math.inf:
+        return np.zeros_like(mean)
     cp = (theta - mean) / sd
     cm = (-theta - mean) / sd
     return (mean - theta) * _ndtr(-cp) + sd * gaussian_pdf(cp) + (mean + theta) * _ndtr(cm) - sd * gaussian_pdf(cm)

@@ -1,9 +1,11 @@
 """State evolution: the scalar recursion tracking AMP's effective noise.
 
-Contains the one-dimensional map and its fixed point, the admissibility
-boundary alpha_min(delta), the penalty/threshold calibration in both
-directions, the asymptotic risk prediction, and the two-time covariance
-recursion used for convergence diagnostics.
+Contains the one-dimensional map, its sequence from tau2_init (memoised per
+(params, alpha) and shared by every AMP run and the two-time recursion) and
+its fixed point, the admissibility boundary alpha_min(delta), the
+penalty/threshold calibration in both directions, the asymptotic risk
+prediction, and the two-time covariance recursion used for convergence
+diagnostics.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .scalars import (
     eta_times_signal_expectation,
     finite_float,
     gaussian_pdf,
+    integer,
     l1_expectation,
     mse_functional,
 )
@@ -80,9 +83,36 @@ class TwoTimeCov:
 
 def se_map(params, tau2, theta):
     """F(tau^2, theta) = sigma^2 + E{[eta(X0 + tau Z; theta) - X0]^2} / delta."""
-    if not tau2 > 0:
-        raise ValueError(f"tau2 must be positive, got {tau2}")
+    if not 0 < tau2 < math.inf:
+        raise ValueError(f"tau2 must be positive and finite, got {tau2}")
     return params.sigma2 + mse_functional(params.prior, float(np.sqrt(tau2)), theta) / params.delta
+
+
+@functools.lru_cache
+def _se_memo(params, alpha):
+    """The list se_sequence extends at (params, alpha): one per pair, the
+    128 most recently used."""
+    return [params.tau2_init]
+
+
+def se_sequence(params, alpha, T):
+    """[tau_0^2, ..., tau_T^2] of tau_{t+1}^2 = F(tau_t^2, alpha tau_t) from tau2_init.
+
+    The sequence depends on (params, alpha) alone, so every run at the same
+    pair, on any instance and at any N, reads one memo of it, extended only
+    as far as the longest caller has asked. Returns a new list each call.
+
+    Raises:
+        ValueError: alpha not finite and positive, or T not an integer >= 0.
+    """
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    if not integer(T) >= 0:
+        raise ValueError(f"T must be a nonnegative integer, got {T}")
+    seq = _se_memo(params, alpha)
+    while len(seq) <= T:
+        seq.append(se_map(params, seq[-1], alpha * np.sqrt(seq[-1])))
+    return seq[:T + 1]
 
 
 def _brent_root(f, a, b):
@@ -173,13 +203,14 @@ def fixed_point(params, alpha, tau2_init=None):
     trajectory is asserted; the iteration cap is 1e5.
 
     Raises:
-        ValueError: alpha not above alpha_min(delta) (NaN included), where the
-            fixed point may not exist.
+        ValueError: alpha not finite and above alpha_min(delta) (NaN
+            included; below it the fixed point may not exist).
         ConvergenceError: iteration cap reached (carries the partial trajectory).
     """
     amin = alpha_min(params.delta)
-    if not alpha > amin:
-        raise ValueError(f"alpha must exceed alpha_min={amin:.6g}, got {alpha}; fixed point may not exist")
+    if not amin < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and exceed alpha_min={amin:.6g}, got {alpha}; "
+                         "fixed point may not exist")
     t2 = params.tau2_init if tau2_init is None else float(tau2_init)
     if not t2 > 0:
         raise ValueError(f"tau2_init must be positive, got {tau2_init}")
@@ -220,10 +251,10 @@ def se_derivative(params, tau2, alpha):
     As tau^2 -> infinity this tends to (2/delta)[(1+alpha^2)Phi(-alpha)
     - alpha phi(alpha)], the quantity defining alpha_min.
     """
-    if not tau2 > 0:
-        raise ValueError(f"tau2 must be positive, got {tau2}")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < tau2 < math.inf:
+        raise ValueError(f"tau2 must be positive and finite, got {tau2}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     tau = np.sqrt(tau2)
     a = params.prior.atoms_arr
     u = (a - alpha * tau) / tau
@@ -356,8 +387,9 @@ def predicted_risk(params, lam):
 def two_time_recursion(params, alpha, T):
     """Covariance table R[s, t] of the effective noises across iterations.
 
-    The diagonal follows the one-dimensional recursion exactly (the equal-time
-    case of the two-time update), the first row uses the closed-form boundary
+    The diagonal is se_sequence(params, alpha, T), the one-dimensional
+    recursion (the equal-time case of the two-time update) shared with AMP
+    runs at the same alpha; the first row uses the closed-form boundary
 
         R[0, t+1] = sigma^2 + (E{X0^2} - E{eta(X0 + Z_t; theta_t) X0}) / delta,
 
@@ -365,20 +397,20 @@ def two_time_recursion(params, alpha, T):
     with covariance R[s, t].
 
     Raises:
+        ValueError: T not a positive integer, or alpha not finite and above
+            alpha_min(delta).
         ConsistencyError: the table is not positive semidefinite beyond
             numerical tolerance (exact positive definiteness degrades at
             large T as rows become collinear in exact arithmetic too).
     """
-    if not T >= 1:
+    if not integer(T) >= 1:
         raise ValueError(f"T must be a positive integer, got {T}")
     amin = alpha_min(params.delta)
-    if not alpha > amin:
-        raise ValueError(f"alpha must exceed alpha_min={amin:.6g}, got {alpha}")
+    if not amin < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and exceed alpha_min={amin:.6g}, got {alpha}")
     prior, delta = params.prior, params.delta
 
-    tau2 = [params.tau2_init]
-    for _ in range(T):
-        tau2.append(se_map(params, tau2[-1], alpha * np.sqrt(tau2[-1])))
+    tau2 = se_sequence(params, alpha, T)
     taus = np.sqrt(tau2)
     thetas = alpha * taus
 

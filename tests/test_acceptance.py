@@ -16,7 +16,7 @@ the certificate vanishes as the iteration converges.
 import numpy as np
 import pytest
 
-from amplasso.amp import _ACTIVE_GAMMA, run_amp
+from amplasso.amp import _ACTIVE_GAMMA, amp_step, initial_state, run_amp, run_amp_grid
 from amplasso.instances import generate, singular_edge_check
 from amplasso.lasso import solve_lasso
 from amplasso.scalars import (Prior, cross_mse_functional, eta_prime_expectation,
@@ -60,24 +60,33 @@ def gaussian_cells(predictions):
 
     Keeps scalars only: the per-seed matrices are 20 MB each and transient;
     each is drawn once and shared by all penalties, as the sweep harness
-    does. AMP runs the residual threshold policy for 100 steps with no early
-    stop, which is the configuration the sweep harness uses against the
-    per-instance optimum.
+    does. AMP runs every penalty of a seed as one run_amp_grid stack, the
+    sweep harness's path, with the residual threshold policy for 100 steps
+    and no early stop, which is the configuration the sweep harness uses
+    against the per-instance optimum.
     """
     cells = []
-    ts = np.arange(30, 101)
+    alphas = [predictions[lam].alpha for lam in LAMBDAS]
     for seed in SEEDS:
         inst = generate(PARAMS, N_CELLS, "gaussian", seed)
-        for lam in LAMBDAS:
-            sol = solve_lasso(inst.A, inst.y, lam, tol=1e-8)
-            assert sol.converged
-            masks = {}
-            # negative stop_tol disables the iterate-change stop, so every
-            # cell runs the full 100 steps even after an exact plateau
-            state, diags = run_amp(inst, PARAMS, lam, t_max=100, stop_tol=-1.0,
-                                   threshold_policy="residual", active_mask_sink=masks,
-                                   alpha=predictions[lam].alpha)
-            M = np.array([masks[t] for t in ts])
+        sols = [solve_lasso(inst.A, inst.y, lam, tol=1e-8) for lam in LAMBDAS]
+        assert all(sol.converged for sol in sols)
+        # negative stop_tol disables the iterate-change stop, so every row
+        # runs the full 100 steps even after an exact plateau
+        finals, diag_rows = zip(*run_amp_grid(inst, PARAMS, LAMBDAS, alphas, t_max=100,
+                                              stop_tol=-1.0, threshold_policy="residual"))
+        # the whole stack replayed with its recorded thresholds repeats the
+        # run bit for bit; its near-boundary sets for t = 30 .. 100
+        state = initial_state(inst.y, N_CELLS, rows=len(LAMBDAS))
+        masks = []
+        for t in range(100):
+            theta = np.array([diags[t].theta for diags in diag_rows])
+            state = amp_step(state, inst.A, inst.y, theta)
+            if t + 1 >= 30:
+                masks.append(np.abs((state.pre - state.x) / theta[:, None]) >= 1.0 - _ACTIVE_GAMMA)
+        assert np.array_equal(state.x, [final.x for final in finals])
+        for row, (lam, sol, final, diags) in enumerate(zip(LAMBDAS, sols, finals, diag_rows)):
+            M = np.array([mask[row] for mask in masks])
             sizes = M.sum(axis=1).astype(np.float64)
             inter = M.astype(np.float32) @ M.astype(np.float32).T
             grow = (sizes[None, :] - inter) / N_CELLS
@@ -87,7 +96,7 @@ def gaussian_cells(predictions):
             cells.append({
                 "lam": lam, "seed": seed,
                 "mse_lasso": float(np.mean((sol.x_hat - inst.x0) ** 2)),
-                "amp_gap": float(np.mean((state.x - sol.x_hat) ** 2)),
+                "amp_gap": float(np.mean((final.x - sol.x_hat) ** 2)),
                 "sg10": diags[9].subgradient_norm,
                 "sg100": diags[99].subgradient_norm,
                 "pair_growth": float(grow.max()),

@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import amplasso.amp
-from amplasso.amp import amp_step, initial_state, run_amp, run_amp_grid
+import amplasso.state_evolution
+from amplasso.amp import _ACTIVE_GAMMA, amp_step, initial_state, run_amp, run_amp_grid
 from amplasso.errors import ConsistencyError, DivergenceError
 from amplasso.instances import Instance, generate
 from amplasso.lasso import solve_lasso
@@ -165,16 +166,18 @@ class TestRunAmp:
             assert_allclose(row.tau2_se, t2, rtol=1e-12)
 
     def test_state_evolution_computed_only_for_steps_run(self, monkeypatch):
-        inst = tiny_instance(6, N=400)
         calls = []
 
         def counted(params, tau2, theta):
             calls.append(tau2)
             return se_map(params, tau2, theta)
 
-        monkeypatch.setattr(amplasso.amp, "se_map", counted)
         alpha = invert_calibration(FIG4, 1.0)
-        state, diag = run_amp(inst, FIG4, 1.0, t_max=200, stop_tol=1e-6, alpha=alpha)
+        monkeypatch.setattr(amplasso.state_evolution, "se_map", counted)
+        # start from an empty memo, whatever other tests ran at this alpha
+        amplasso.state_evolution._se_memo.cache_clear()
+        state, diag = run_amp(tiny_instance(6, N=400), FIG4, 1.0, t_max=200, stop_tol=1e-6,
+                              alpha=alpha)
         assert state.t == len(diag) < 200
         # tau2_se[1..T] for T steps; tau2_se[0] is tau2_init and needs no call
         assert len(calls) == state.t
@@ -182,6 +185,14 @@ class TestRunAmp:
         for row in diag:
             t2 = se_map(FIG4, t2, alpha * math.sqrt(t2))
             assert row.tau2_se == t2
+        # runs on other instances at the same alpha share the sequence: a
+        # longer run computes only its steps past the first run, a shorter none
+        for t_max in (state.t + 5, 3):
+            _, other = run_amp(tiny_instance(7, N=400), FIG4, 1.0, t_max=t_max,
+                               stop_tol=-1.0, alpha=alpha)
+            assert len(other) == t_max and len(calls) == state.t + 5
+            common = min(t_max, state.t)
+            assert [row.tau2_se for row in other[:common]] == [row.tau2_se for row in diag[:common]]
 
     @pytest.mark.parametrize("policy", ["se", "residual"])
     def test_given_alpha_gives_the_same_run(self, policy):
@@ -263,13 +274,6 @@ class TestRunAmp:
         inst = tiny_instance(8, N=50)
         with pytest.raises(ValueError):
             run_amp(inst, FIG4, 1.0, threshold_policy="what")
-
-    def test_mask_sink_collects_every_iteration(self):
-        inst = tiny_instance(9, N=200)
-        sink = {}
-        run_amp(inst, FIG4, 1.0, t_max=5, stop_tol=0.0, active_mask_sink=sink)
-        assert sorted(sink) == [1, 2, 3, 4, 5]
-        assert all(m.shape == (200,) and m.dtype == bool for m in sink.values())
 
 
 GRID = (0.6, 1.0, 1.6)
@@ -371,10 +375,34 @@ class TestRunAmpGrid:
 
     def test_invalid_arguments(self):
         inst = tiny_instance(17, N=100)
-        for bad in (dict(alphas=[2.0]), dict(active_mask_sinks=[None]), dict(t_max=0)):
-            args = {"lams": GRID[:2], "alphas": [2.0, 2.0], **bad}
+        # a t_max that is not an integer would never equal the step count
+        for bad in (dict(alphas=[2.0]), dict(t_max=0), dict(t_max=2.5), dict(t_max=math.inf),
+                    dict(t_max=True)):
+            args = {"lams": GRID[:2], "alphas": [2.0, 2.0], "stop_tol": -1.0, **bad}
             with pytest.raises(ValueError):
                 run_amp_grid(inst, FIG4, **args)
+        with pytest.raises(ValueError, match="integer"):
+            run_amp(inst, FIG4, 1.0, t_max=2.5, stop_tol=-1.0)
+
+    @pytest.mark.parametrize("policy", ["se", "residual"])
+    def test_replay_with_recorded_thresholds_repeats_the_stack(self, policy):
+        # with stop_tol < 0 every row runs to t_max, so amp_step on the whole
+        # stack with each row's recorded thresholds repeats the run bit for
+        # bit: that is how a caller recovers the near-boundary sets
+        inst = tiny_instance(9, N=200)
+        alphas = [invert_calibration(FIG4, lam) for lam in GRID]
+        runs = run_amp_grid(inst, FIG4, GRID, alphas, t_max=12, stop_tol=-1.0,
+                            threshold_policy=policy)
+        state = initial_state(inst.y, 200, rows=len(GRID))
+        for t in range(12):
+            theta = np.array([diag[t].theta for _, diag in runs])
+            state = amp_step(state, inst.A, inst.y, theta)
+            near = np.abs((state.pre - state.x) / theta[:, None]) >= 1.0 - _ACTIVE_GAMMA
+            assert np.count_nonzero(near, axis=1).tolist() == \
+                [diag[t].active_set_size for _, diag in runs]
+        for i, (final, diag) in enumerate(runs):
+            assert final.t == len(diag) == 12
+            assert np.array_equal(state.x[i], final.x) and np.array_equal(state.z[i], final.z)
 
     @pytest.mark.parametrize("policy", ["se", "residual"])
     @pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf])
@@ -415,11 +443,12 @@ class TestSubgradientResidual:
 
 
 class TestActiveSet:
-    """The near-boundary masks run_amp hands to active_mask_sink."""
+    """The near-boundary set that run_amp counts as active_set_size."""
 
     def test_contains_support(self):
         inst = tiny_instance(15, N=400)
-        sink = {}
-        state, _ = run_amp(inst, FIG4, 1.0, t_max=20, stop_tol=0.0, active_mask_sink=sink)
+        state, diag = run_amp(inst, FIG4, 1.0, t_max=20, stop_tol=0.0)
         assert np.count_nonzero(state.x) > 0
-        assert np.all(sink[state.t][state.x != 0.0])
+        near = np.abs((state.pre - state.x) / state.theta_t) >= 1.0 - _ACTIVE_GAMMA
+        assert np.all(near[state.x != 0.0])
+        assert diag[-1].active_set_size == np.count_nonzero(near)

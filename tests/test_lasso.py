@@ -443,6 +443,8 @@ class TestHelpers:
             solve_lasso(A, y, lam, tol=tol, max_iter=max_iter)
 
     def test_invalid_max_iter(self):
+        # a cap that is not an integer would never equal the step count
         A, y = small_instance(1)
-        with pytest.raises(ValueError):
-            solve_lasso(A, y, 0.1, max_iter=0)
+        for max_iter in (0, 2.5, np.inf, True):
+            with pytest.raises(ValueError):
+                solve_lasso(A, y, 0.1, max_iter=max_iter)

@@ -12,11 +12,12 @@ from scipy.special import ndtr
 
 from amplasso import state_evolution
 from amplasso.errors import AmplassoError, ConvergenceError
-from amplasso.scalars import (Prior, eta_prime_expectation, get_preset, l1_expectation,
+from amplasso.scalars import (Prior, cross_mse_functional, eta_prime_expectation,
+                              eta_times_signal_expectation, get_preset, l1_expectation,
                               mse_functional)
 from amplasso.state_evolution import (SEParams, _brent_root, _edge_gap, alpha_min,
                                       calibrate_lambda, fixed_point, invert_calibration,
-                                      predicted_risk, se_derivative, se_map,
+                                      predicted_risk, se_derivative, se_map, se_sequence,
                                       two_time_recursion)
 
 FIG4 = SEParams(delta=0.64, sigma2=0.2, prior=get_preset("three_point_0.064"))
@@ -310,6 +311,45 @@ def test_nan_or_nonpositive_parameter_rejected_at_once(call, name):
         call()
 
 
+INF = math.inf
+PRIOR = FIG4.prior
+
+
+@pytest.mark.parametrize("call, expected", [
+    # a noise scale must be finite
+    (lambda: mse_functional(PRIOR, INF, 1.0), ValueError),
+    (lambda: eta_prime_expectation(PRIOR, INF, 1.0), ValueError),
+    (lambda: l1_expectation(PRIOR, INF, 1.0), ValueError),
+    (lambda: cross_mse_functional(PRIOR, INF, 0.5, 0.1, 1.0, 1.0), ValueError),
+    (lambda: se_map(FIG4, INF, 1.0), ValueError),
+    (lambda: se_derivative(FIG4, INF, 1.0), ValueError),
+    # so must a threshold ratio
+    (lambda: se_derivative(FIG4, 1.0, INF), ValueError),
+    (lambda: two_time_recursion(FIG4, INF, 2), ValueError),
+    (lambda: se_sequence(FIG4, INF, 2), ValueError),
+    (lambda: fixed_point(FIG4, INF), ValueError),
+    (lambda: calibrate_lambda(FIG4, INF), ValueError),
+    # an infinite threshold cuts everything, eta(x; inf) = 0: the limits
+    (lambda: mse_functional(PRIOR, 0.5, INF), PRIOR.second_moment),
+    (lambda: eta_prime_expectation(PRIOR, 0.5, INF), 0.0),
+    (lambda: l1_expectation(PRIOR, 0.5, INF), 0.0),
+    (lambda: eta_times_signal_expectation(PRIOR, 0.5, INF), 0.0),
+    (lambda: cross_mse_functional(PRIOR, 0.5, 0.7, 0.1, INF, INF), PRIOR.second_moment),
+    (lambda: cross_mse_functional(PRIOR, 0.5, 0.7, 0.1, INF, 0.8),
+     PRIOR.second_moment - eta_times_signal_expectation(PRIOR, 0.7, 0.8)),
+    (lambda: se_map(FIG4, 1.0, INF), FIG4.tau2_init),
+], ids=["mse_tau", "eta_prime_tau", "l1_tau", "cross_tau", "se_map_tau2", "se_derivative_tau2",
+        "se_derivative_alpha", "two_time_recursion_alpha", "se_sequence_alpha", "fixed_point_alpha",
+        "calibrate_lambda_alpha", "mse_theta", "eta_prime_theta", "l1_theta",
+        "eta_times_signal_theta", "cross_both_thetas", "cross_one_theta", "se_map_theta"])
+def test_infinite_argument_rejected_or_taken_to_its_limit(call, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            call()
+    else:
+        assert call() == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 class TestTwoTimeRecursion:
     def test_diagonal_matches_one_dimensional_recursion(self):
         alpha = 2.0
@@ -322,6 +362,14 @@ class TestTwoTimeRecursion:
         for s in range(T + 1):
             assert_allclose(out.R[s, s], t2, rtol=1e-10)
             t2 = se_map(FIG4, t2, alpha * math.sqrt(t2))
+
+    def test_shares_the_memoised_sequence_and_hands_out_copies(self):
+        first = se_sequence(FIG4, 2.0, 5)
+        first[1] = -1.0
+        assert se_sequence(FIG4, 2.0, 5)[1] == two_time_recursion(FIG4, 2.0, 5).tau2_sequence[1] > 0
+        for T in (-1, 2.5):
+            with pytest.raises(ValueError):
+                se_sequence(FIG4, 2.0, T)
 
     def test_symmetric_and_psd(self):
         out = two_time_recursion(FIG4, 2.0, 10)
