@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, DivergenceError
-from .scalars import integer, soft_threshold
+from .scalars import integer_at_least, positive_float, soft_threshold
 from .state_evolution import invert_calibration, se_sequence
 
 _SIGN_SLACK = 1e-12
@@ -178,15 +178,12 @@ def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
     """
     if threshold_policy not in ("se", "residual"):
         raise ValueError(f"unknown threshold policy {threshold_policy!r}")
-    if not integer(t_max) >= 1:
-        raise ValueError(f"t_max must be at least 1, got {t_max}")
+    integer_at_least(t_max, 1, "t_max")
     if len(alphas) != len(lams):
         raise ValueError(f"{len(lams)} penalties and {len(alphas)} alphas")
     for lam, alpha in zip(lams, alphas):
-        if not 0 < lam < math.inf:
-            raise ValueError(f"lambda must be positive and finite, got {lam}")
-        if not 0 < alpha < math.inf:
-            raise ValueError(f"alpha must be finite and positive, got {alpha}")
+        positive_float(lam, "lambda")
+        positive_float(alpha, "alpha")
     A, y, x0 = instance.A, instance.y, instance.x0
     n, N = A.shape
 

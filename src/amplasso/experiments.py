@@ -44,7 +44,7 @@ from .errors import ConvergenceError
 from .instances import ENSEMBLES, generate
 from .lasso import solve_lasso
 from .scalars import Prior, finite_float, integer
-from .state_evolution import SEParams, _penalty_at, alpha_min, fixed_point, predicted_risk, se_map
+from .state_evolution import SEParams, alpha_min, calibrate_lambda, fixed_point, predicted_risk, se_map
 
 # minimum_lambda: points of the coarse grid, and the Brent search's
 # absolute x tolerance as a fraction of max(1, lambda)
@@ -349,9 +349,8 @@ def dump_se_curves(params, alpha_grid=None, tau2_grid=None, f_map_alpha=2.0):
             tau_rows.append((a, float("nan"), warn))
             lam_rows.append((a, float("nan"), warn))
             continue
-        tau2_star = fixed_point(params, a).tau2_star
-        tau_rows.append((a, math.sqrt(tau2_star), ""))
-        lam_rows.append((a, _penalty_at(params, a, tau2_star), ""))
+        tau_rows.append((a, math.sqrt(fixed_point(params, a).tau2_star), ""))
+        lam_rows.append((a, calibrate_lambda(params, a), ""))
     return CurveTables(f_map=f_rows, tau_star=tau_rows, lambda_of_alpha=lam_rows)
 
 

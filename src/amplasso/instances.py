@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scalars import integer_at_least, positive_float
+
 ENSEMBLES = ("gaussian", "rademacher")
 _FIELD_TAGS = {"x0": 0, "w": 1, "A": 2}
 _HEADER_FMT = "<qqddBq"  # N, n, delta, sigma2, ensemble code, seed
@@ -51,8 +53,7 @@ def generate(params, N, ensemble, seed):
     """
     if ensemble not in ENSEMBLES:
         raise ValueError(f"ensemble must be one of {ENSEMBLES}, got {ensemble!r}")
-    if N < 2:
-        raise ValueError(f"N must be at least 2, got {N}")
+    integer_at_least(N, 2, "N")
     n = int(round(params.delta * N))
     if n < 1:
         raise ValueError(f"delta*N rounds to {n}; need at least one row")
@@ -119,9 +120,8 @@ def load_instance(path):
         body = fh.read()
     if not (0 <= code < len(ENSEMBLES)) or N <= 0 or n <= 0:
         raise ValueError("container header is not valid")
-    if not (0 < delta < np.inf and 0 < sigma2 < np.inf):
-        raise ValueError(f"container header has delta={delta}, sigma2={sigma2}; "
-                         "both must be finite and positive")
+    positive_float(delta, "container header delta")
+    positive_float(sigma2, "container header sigma2")
     expected = 8 * (n * N + N + n)
     if len(body) != expected:
         raise ValueError(f"container body has {len(body)} bytes, expected {expected}")

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import integer, soft_threshold
+from .scalars import integer_at_least, positive_float, soft_threshold
 
 _KKT_CHECK_EVERY = 10
 
@@ -174,16 +174,13 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
     NaN in A, y or the start): NaN is never certified.
 
     Raises:
-        ValueError: lam, tol or max_iter out of range (max_iter must be an
-            integer), or a start whose x_hat or image does not fit the
-            shape of A.
+        ValueError: lam or tol not positive and finite, max_iter not an
+            integer of at least 1, or a start whose x_hat or image does not
+            fit the shape of A.
     """
-    if not 0 < lam < np.inf:
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if not integer(max_iter) >= 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    positive_float(lam, "lambda")
+    positive_float(tol, "tol")
+    integer_at_least(max_iter, 1, "max_iter")
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     n, N = A.shape

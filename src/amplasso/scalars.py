@@ -1,7 +1,9 @@
 """Scalar primitives: soft thresholding, Gaussian tools, and prior expectations.
 
 Every functional here reduces to closed-form combinations of the Gaussian
-density phi and CDF Phi, evaluated per atom of a finite discrete prior.
+density phi and CDF Phi, evaluated per atom of a finite discrete prior by
+one kernel, _gaussian_terms, at the two kinks of eta(a + tau Z; theta); each
+functional (state_evolution.se_derivative too) keeps its own theta = inf limit.
 The one genuinely two-dimensional quantity (the cross moment of two jointly
 Gaussian soft-threshold outputs) is integrated numerically, but only in the
 outer variable: the inner expectation is analytic, so the integrand is a
@@ -73,14 +75,25 @@ def soft_threshold(x, theta):
     return float(out) if out.ndim == 0 else out
 
 
+def _number(value, kind):
+    return not isinstance(value, bool) and isinstance(value, kind)
+
+
 def finite_float(value):
     """`value` as a float, if it is a real, non-boolean, finite number.
 
     Raises:
         ValueError: for a string, a boolean, NaN, an infinity or a non-number.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    if not (_number(value, numbers.Real) and math.isfinite(value)):
         raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def positive_float(value, name):
+    """`value` as a float if finite_float takes it and it is positive, else a ValueError naming `name`."""
+    if not (_number(value, numbers.Real) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
 
 
@@ -91,8 +104,15 @@ def integer(value):
         ValueError: for a boolean, a float (2.5 and 2.0 alike), an infinity
             or a non-number.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _number(value, numbers.Integral):
         raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def integer_at_least(value, k, name):
+    """`value` as an int if integer takes it and it is at least k, else a ValueError naming `name`."""
+    if not (_number(value, numbers.Integral) and value >= k):
+        raise ValueError(f"{name} must be an integer of at least {k}, got {value!r}")
     return int(value)
 
 
@@ -173,13 +193,21 @@ def get_preset(name):
         raise ValueError(f"unknown prior preset {name!r}; known: {sorted(PRESETS)}") from None
 
 
-def _check_tau_theta(tau, theta):
-    """tau must be finite and positive; theta may be +inf, where each
-    functional returns its limit (eta(x; inf) = 0 for every x)."""
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau} (the tau=0 limit is the caller's job)")
+def _check_tau_theta(tau, theta, side=""):
+    """tau must be finite and positive; theta may be +inf, where each functional
+    returns its limit (eta(x; inf) = 0 for every x). `side` ends both names."""
+    positive_float(tau, f"tau{side}")
     if not theta >= 0:
-        raise ValueError(f"theta must be nonnegative, got {theta}")
+        raise ValueError(f"theta{side} must be nonnegative, got {theta}")
+
+
+def _gaussian_terms(a, tau, theta):
+    """(c+, d, Phi(-c+), Phi(-d), phi(c+), phi(d)) per entry of a, with c+ =
+    (theta - a)/tau and d = (theta + a)/tau; (a - theta)/tau = -c+ and
+    (-a - theta)/tau = -d exactly, and phi is even to the bit."""
+    cp = (theta - a) / tau
+    d = (theta + a) / tau
+    return cp, d, _ndtr(-cp), _ndtr(-d), gaussian_pdf(cp), gaussian_pdf(d)
 
 
 def mse_functional(prior, tau, theta):
@@ -203,15 +231,12 @@ def mse_functional(prior, tau, theta):
     """
     _check_tau_theta(tau, theta)
     a = prior.atoms_arr
-    cp = (theta - a) / tau
-    d = (theta + a) / tau
+    cp, d, tail_cp, tail_d, pdf_cp, pdf_d = _gaussian_terms(a, tau, theta)
     # theta^2 overflows above ~1.3e154; 40 sds into the dead zone the tails
     # and densities are 0 to double precision, the closed form reduces to
     # E{X0^2} exactly, and so it is returned without the square
     if theta > 1e154 and min(cp.min(), d.min()) >= 40.0:
         return float(np.dot(prior.weights_arr, a * a))
-    tail_cp, tail_d = _ndtr(-cp), _ndtr(-d)
-    pdf_cp, pdf_d = gaussian_pdf(cp), gaussian_pdf(d)
     upper = tau**2 * (tail_cp + cp * pdf_cp) - 2 * tau * theta * pdf_cp + theta**2 * tail_cp
     lower = tau**2 * (tail_d + d * pdf_d) - 2 * tau * theta * pdf_d + theta**2 * tail_d
     dead = a * a * (_ndtr(cp) - tail_d)
@@ -225,9 +250,8 @@ def eta_prime_expectation(prior, tau, theta):
     Monotone nonincreasing in theta; equals 1 at theta = 0.
     """
     _check_tau_theta(tau, theta)
-    a = prior.atoms_arr
-    val = _ndtr((a - theta) / tau) + _ndtr((-a - theta) / tau)
-    return float(np.dot(prior.weights_arr, val))
+    _, _, tail_cp, tail_d, _, _ = _gaussian_terms(prior.atoms_arr, tau, theta)
+    return float(np.dot(prior.weights_arr, tail_cp + tail_d))
 
 
 def l1_expectation(prior, tau, theta):
@@ -240,9 +264,8 @@ def l1_expectation(prior, tau, theta):
     if theta == math.inf:
         return 0.0
     a = prior.atoms_arr
-    cp = (theta - a) / tau
-    cm = (-theta - a) / tau
-    val = (a - theta) * _ndtr(-cp) + tau * gaussian_pdf(cp) - (a + theta) * _ndtr(cm) + tau * gaussian_pdf(cm)
+    _, _, tail_cp, tail_d, pdf_cp, pdf_d = _gaussian_terms(a, tau, theta)
+    val = (a - theta) * tail_cp + tau * pdf_cp - (a + theta) * tail_d + tau * pdf_d
     return float(np.dot(prior.weights_arr, val))
 
 
@@ -256,9 +279,8 @@ def _eta_mean(mean, sd, theta):
     mean = np.asarray(mean, dtype=float)
     if theta == math.inf:
         return np.zeros_like(mean)
-    cp = (theta - mean) / sd
-    cm = (-theta - mean) / sd
-    return (mean - theta) * _ndtr(-cp) + sd * gaussian_pdf(cp) + (mean + theta) * _ndtr(cm) - sd * gaussian_pdf(cm)
+    _, _, tail_cp, tail_d, pdf_cp, pdf_d = _gaussian_terms(mean, sd, theta)
+    return (mean - theta) * tail_cp + sd * pdf_cp + (mean + theta) * tail_d - sd * pdf_d
 
 
 def eta_times_signal_expectation(prior, tau, theta):
@@ -289,8 +311,8 @@ def cross_mse_functional(prior, tau_a, tau_b, cov, theta_a, theta_b):
     Returns:
         The cross moment; symmetric under swapping the (a, b) arguments.
     """
-    _check_tau_theta(tau_a, theta_a)
-    _check_tau_theta(tau_b, theta_b)
+    _check_tau_theta(tau_a, theta_a, "_a")
+    _check_tau_theta(tau_b, theta_b, "_b")
     va, vb = tau_a * tau_a, tau_b * tau_b
     if not cov * cov <= va * vb * (1.0 + 1e-12):
         raise ValueError(f"covariance matrix not PSD: cov={cov}, tau_a={tau_a}, tau_b={tau_b}")

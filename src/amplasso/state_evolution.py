@@ -1,8 +1,9 @@
 """State evolution: the scalar recursion tracking AMP's effective noise.
 
-Contains the one-dimensional map, its sequence from tau2_init (memoised per
-(params, alpha) and shared by every AMP run and the two-time recursion) and
-its fixed point, the admissibility boundary alpha_min(delta), the
+Contains the one-dimensional map; its sequence from tau2_init, one memoised
+list per (params, alpha) that fixed_point, every AMP run and the two-time
+recursion extend and read, so a run at a calibrated alpha reads the steps
+its calibration computed; the admissibility boundary alpha_min(delta), the
 penalty/threshold calibration in both directions, the asymptotic risk
 prediction, and the two-time covariance recursion used for convergence
 diagnostics.
@@ -23,11 +24,12 @@ from .scalars import (
     cross_mse_functional,
     eta_prime_expectation,
     eta_times_signal_expectation,
-    finite_float,
+    _gaussian_terms,
     gaussian_pdf,
-    integer,
+    integer_at_least,
     l1_expectation,
     mse_functional,
+    positive_float,
 )
 
 _FP_REL_TOL = 1e-12
@@ -48,13 +50,7 @@ class SEParams:
 
     def __post_init__(self):
         for name in ("delta", "sigma2"):
-            try:
-                value = finite_float(getattr(self, name))
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, positive_float(getattr(self, name), name))
         if not isinstance(self.prior, Prior):
             raise ValueError("prior must be a Prior instance")
 
@@ -83,16 +79,21 @@ class TwoTimeCov:
 
 def se_map(params, tau2, theta):
     """F(tau^2, theta) = sigma^2 + E{[eta(X0 + tau Z; theta) - X0]^2} / delta."""
-    if not 0 < tau2 < math.inf:
-        raise ValueError(f"tau2 must be positive and finite, got {tau2}")
+    positive_float(tau2, "tau2")
     return params.sigma2 + mse_functional(params.prior, float(np.sqrt(tau2)), theta) / params.delta
 
 
 @functools.lru_cache
 def _se_memo(params, alpha):
-    """The list se_sequence extends at (params, alpha): one per pair, the
-    128 most recently used."""
+    """The list se_sequence and fixed_point extend at (params, alpha): one
+    per pair, the 128 most recently used."""
     return [params.tau2_init]
+
+
+def _extend(params, alpha, seq, T):
+    """Append tau_{t+1}^2 = F(tau_t^2, alpha tau_t) to seq until it holds tau_T^2."""
+    while len(seq) <= T:
+        seq.append(se_map(params, seq[-1], alpha * np.sqrt(seq[-1])))
 
 
 def se_sequence(params, alpha, T):
@@ -105,13 +106,10 @@ def se_sequence(params, alpha, T):
     Raises:
         ValueError: alpha not finite and positive, or T not an integer >= 0.
     """
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    if not integer(T) >= 0:
-        raise ValueError(f"T must be a nonnegative integer, got {T}")
+    positive_float(alpha, "alpha")
+    integer_at_least(T, 0, "T")
     seq = _se_memo(params, alpha)
-    while len(seq) <= T:
-        seq.append(se_map(params, seq[-1], alpha * np.sqrt(seq[-1])))
+    _extend(params, alpha, seq, T)
     return seq[:T + 1]
 
 
@@ -183,14 +181,21 @@ def alpha_min(delta):
     is returned. The root is cached per delta (the 128 most recent): every
     fixed point of a calibration checks its alpha against it.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    positive_float(delta, "delta")
     if _edge_gap(0.0, delta) <= 0.0:
         return 0.0
     hi = 1.0
     while _edge_gap(hi, delta) > 0.0:
         hi *= 2.0
     return _brent_root(lambda alpha: _edge_gap(alpha, delta), 0.0, hi)
+
+
+def _check_alpha(params, alpha):
+    """alpha must be finite and above alpha_min(delta), where the fixed point exists."""
+    amin = alpha_min(params.delta)
+    if not amin < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and exceed alpha_min={amin:.6g}, got {alpha}; "
+                         "fixed point may not exist")
 
 
 def fixed_point(params, alpha, tau2_init=None):
@@ -200,35 +205,29 @@ def fixed_point(params, alpha, tau2_init=None):
     until successive iterates agree to 1e-12 relative AND the residual
     |tau*^2 - F(tau*^2)| clears 1e-10 (tightened by 1/delta so the risk
     identity downstream holds at the same tolerance). Monotonicity of the
-    trajectory is asserted; the iteration cap is 1e5.
+    trajectory is asserted; the iteration cap is 1e5. From tau2_init the
+    iterates are se_sequence's memo; a caller's start gets a fresh list.
 
     Raises:
         ValueError: alpha not finite and above alpha_min(delta) (NaN
             included; below it the fixed point may not exist).
         ConvergenceError: iteration cap reached (carries the partial trajectory).
     """
-    amin = alpha_min(params.delta)
-    if not amin < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and exceed alpha_min={amin:.6g}, got {alpha}; "
-                         "fixed point may not exist")
-    t2 = params.tau2_init if tau2_init is None else float(tau2_init)
-    if not t2 > 0:
-        raise ValueError(f"tau2_init must be positive, got {tau2_init}")
+    _check_alpha(params, alpha)
+    if tau2_init is None:
+        seq = _se_memo(params, alpha)
+    else:
+        seq = [positive_float(tau2_init, "tau2_init")]
     residual_tol = 1e-10 / max(1.0, params.delta)
-    seq = [t2]
-    nxt = se_map(params, t2, alpha * np.sqrt(t2))
-    for _ in range(_FP_MAX_ITER):
-        step_ok = abs(nxt - t2) <= _FP_REL_TOL * max(1.0, abs(t2))
-        after = se_map(params, nxt, alpha * np.sqrt(nxt))
-        if step_ok and abs(after - nxt) <= residual_tol:
-            seq.append(nxt)
-            _assert_monotone(seq)
-            return SETrajectory(tau2_sequence=seq, alpha=alpha, tau2_star=nxt)
-        seq.append(nxt)
-        t2, nxt = nxt, after
+    for t in range(1, _FP_MAX_ITER + 1):
+        _extend(params, alpha, seq, t + 1)
+        prev, cur, after = seq[t - 1:t + 2]
+        if abs(cur - prev) <= _FP_REL_TOL * max(1.0, abs(prev)) and abs(after - cur) <= residual_tol:
+            _assert_monotone(seq[:t + 1])
+            return SETrajectory(tau2_sequence=seq[:t + 1], alpha=alpha, tau2_star=cur)
     raise ConvergenceError(
         f"state-evolution fixed point did not converge in {_FP_MAX_ITER} iterations (alpha={alpha})",
-        trajectory=seq,
+        trajectory=seq[:_FP_MAX_ITER + 1],
     )
 
 
@@ -243,7 +242,8 @@ def _assert_monotone(seq):
 def se_derivative(params, tau2, alpha):
     """Total derivative dF/dtau^2 along the ray theta = alpha tau, closed form.
 
-    Per atom a, with u = (a - alpha tau)/tau and v = (-a - alpha tau)/tau:
+    Per atom a, with u = (a - alpha tau)/tau = -c+ and v = (-a - alpha tau)/tau
+    = -d of the kernel scalars._gaussian_terms at theta = alpha tau:
 
         delta * dF/dtau^2 = (1 + alpha^2) [Phi(u) + Phi(v)]
                             - [(a/tau + alpha) phi(u) - (a/tau - alpha) phi(v)]
@@ -251,16 +251,13 @@ def se_derivative(params, tau2, alpha):
     As tau^2 -> infinity this tends to (2/delta)[(1+alpha^2)Phi(-alpha)
     - alpha phi(alpha)], the quantity defining alpha_min.
     """
-    if not 0 < tau2 < math.inf:
-        raise ValueError(f"tau2 must be positive and finite, got {tau2}")
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    positive_float(tau2, "tau2")
+    positive_float(alpha, "alpha")
     tau = np.sqrt(tau2)
     a = params.prior.atoms_arr
-    u = (a - alpha * tau) / tau
-    v = (-a - alpha * tau) / tau
-    per_atom = (1.0 + alpha * alpha) * (_ndtr(u) + _ndtr(v)) - (
-        (a / tau + alpha) * gaussian_pdf(u) - (a / tau - alpha) * gaussian_pdf(v)
+    _, _, tail_cp, tail_d, pdf_cp, pdf_d = _gaussian_terms(a, tau, alpha * tau)
+    per_atom = (1.0 + alpha * alpha) * (tail_cp + tail_d) - (
+        (a / tau + alpha) * pdf_cp - (a / tau - alpha) * pdf_d
     )
     return float(np.dot(params.prior.weights_arr, per_atom)) / params.delta
 
@@ -272,12 +269,7 @@ def calibrate_lambda(params, alpha):
 
     with tau* the fixed point at this alpha. Can be negative near alpha_min.
     """
-    return _penalty_at(params, alpha, fixed_point(params, alpha).tau2_star)
-
-
-def _penalty_at(params, alpha, tau2_star):
-    """calibrate_lambda's formula for a caller that already holds tau*^2 at alpha."""
-    tau = np.sqrt(tau2_star)
+    tau = np.sqrt(fixed_point(params, alpha).tau2_star)
     theta = alpha * tau
     return float(theta * (1.0 - eta_prime_expectation(params.prior, tau, theta) / params.delta))
 
@@ -291,34 +283,19 @@ def invert_calibration(params, lam):
     the lower end exceeds it. Halving ends because the calibration map
     diverges to -infinity at alpha_min+. Both ends are points the search
     has already evaluated, so no fixed point is solved closer to the
-    critical alpha_min than the root requires.
+    critical alpha_min than the root requires. Each alpha's sequence is
+    computed once: the fixed points at points the search evaluates again
+    read se_sequence's memo.
 
     Raises:
-        ValueError: lam <= 0.
+        ValueError: lam not positive and finite.
         ConvergenceError: upper bracket exceeded 1e6 (pathological params).
     """
-    return _calibrated(params, lam)[0]
-
-
-def _calibrated(params, lam):
-    """(alpha, tau*^2 at alpha) for invert_calibration's root alpha.
-
-    The fixed point is solved once per alpha: Brent's method evaluates both
-    bracket ends again, and its root is a point it has evaluated, so those
-    calls, and the caller's tau*^2, come from the memo.
-    """
-    if not (lam > 0 and np.isfinite(lam)):
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    positive_float(lam, "lambda")
     amin = alpha_min(params.delta)
-    memo = {}
-
-    def tau2_at(alpha):
-        if alpha not in memo:
-            memo[alpha] = fixed_point(params, alpha).tau2_star
-        return memo[alpha]
 
     def excess(alpha):
-        return _penalty_at(params, alpha, tau2_at(alpha)) - lam
+        return calibrate_lambda(params, alpha) - lam
 
     d = 1.0
     if excess(amin + d) > 0.0:
@@ -332,8 +309,7 @@ def _calibrated(params, lam):
                 raise ConvergenceError(
                     f"no alpha <= {_ALPHA_CAP:g} reaches lambda={lam}; parameters look pathological"
                 )
-    alpha = _brent_root(excess, amin + d, amin + 2.0 * d)
-    return alpha, tau2_at(alpha)
+    return _brent_root(excess, amin + d, amin + 2.0 * d)
 
 
 @dataclass
@@ -352,8 +328,9 @@ class PredictionBundle:
 def predicted_risk(params, lam):
     """Asymptotic MSE and companion observables of the penalized estimate.
 
-    Computes alpha = invert_calibration(lam) with its fixed point tau*^2,
-    and the predicted MSE by both available expressions: the direct expectation
+    Computes alpha = invert_calibration(lam) and its fixed point tau*^2
+    (read from the sequence the calibration computed), and the predicted MSE
+    by both available expressions: the direct expectation
     E{[eta(X0 + tau* Z; theta*) - X0]^2} and delta (tau*^2 - sigma^2). The two
     must agree to 1e-10 (they are the same number by the fixed-point
     equation); the bundle also carries E{|eta|} and E{eta'}.
@@ -364,7 +341,8 @@ def predicted_risk(params, lam):
     """
     if params.prior.nonzero_mass <= 0.0:
         raise ValueError("predicted_risk requires P{X0 != 0} > 0")
-    alpha, tau2 = _calibrated(params, lam)
+    alpha = invert_calibration(params, lam)
+    tau2 = fixed_point(params, alpha).tau2_star
     tau = float(np.sqrt(tau2))
     theta = alpha * tau
     mse_direct = mse_functional(params.prior, tau, theta)
@@ -403,20 +381,15 @@ def two_time_recursion(params, alpha, T):
             numerical tolerance (exact positive definiteness degrades at
             large T as rows become collinear in exact arithmetic too).
     """
-    if not integer(T) >= 1:
-        raise ValueError(f"T must be a positive integer, got {T}")
-    amin = alpha_min(params.delta)
-    if not amin < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and exceed alpha_min={amin:.6g}, got {alpha}")
+    integer_at_least(T, 1, "T")
+    _check_alpha(params, alpha)
     prior, delta = params.prior, params.delta
 
     tau2 = se_sequence(params, alpha, T)
     taus = np.sqrt(tau2)
     thetas = alpha * taus
 
-    R = np.zeros((T + 1, T + 1))
-    for t in range(T + 1):
-        R[t, t] = tau2[t]
+    R = np.diag(tau2)
     ex2 = prior.second_moment
     for t in range(T):
         cross0 = ex2 - eta_times_signal_expectation(prior, taus[t], thetas[t])

@@ -193,6 +193,16 @@ class TestRunAmp:
             assert len(other) == t_max and len(calls) == state.t + 5
             common = min(t_max, state.t)
             assert [row.tau2_se for row in other[:common]] == [row.tau2_se for row in diag[:common]]
+        # after the predictions, a stack reads the steps that their calibrations
+        # computed and computes only those past the stored length
+        amplasso.state_evolution._se_memo.cache_clear()
+        alphas = [predicted_risk(FIG4, lam).alpha for lam in (0.7, 1.3)]
+        stored = [len(amplasso.state_evolution._se_memo(FIG4, a)) for a in alphas]
+        calls.clear()
+        t_max = max(stored) + 3
+        run_amp_grid(tiny_instance(8, N=400), FIG4, [0.7, 1.3], alphas, t_max=t_max,
+                     stop_tol=-1.0)
+        assert min(stored) > 2 and len(calls) == sum(t_max + 1 - s for s in stored)
 
     @pytest.mark.parametrize("policy", ["se", "residual"])
     def test_given_alpha_gives_the_same_run(self, policy):
@@ -376,10 +386,11 @@ class TestRunAmpGrid:
     def test_invalid_arguments(self):
         inst = tiny_instance(17, N=100)
         # a t_max that is not an integer would never equal the step count
-        for bad in (dict(alphas=[2.0]), dict(t_max=0), dict(t_max=2.5), dict(t_max=math.inf),
-                    dict(t_max=True)):
+        for bad, name in ((dict(alphas=[2.0]), "alphas"), (dict(alphas=[2.0, math.nan]), "alpha"),
+                          (dict(t_max=0), "t_max"), (dict(t_max=2.5), "t_max"),
+                          (dict(t_max=math.inf), "t_max"), (dict(t_max=True), "t_max")):
             args = {"lams": GRID[:2], "alphas": [2.0, 2.0], "stop_tol": -1.0, **bad}
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=rf"\b{name}\b"):
                 run_amp_grid(inst, FIG4, **args)
         with pytest.raises(ValueError, match="integer"):
             run_amp(inst, FIG4, 1.0, t_max=2.5, stop_tol=-1.0)

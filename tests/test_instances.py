@@ -70,8 +70,9 @@ class TestGenerate:
             assert norms.max() < 1.1 and norms.min() > 0.9
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            generate(FIG4, 1, "gaussian", 0)
+        for N in (1, 100.0, True):
+            with pytest.raises(ValueError, match=r"\bN\b"):
+                generate(FIG4, N, "gaussian", 0)
         with pytest.raises(ValueError):
             generate(FIG4, 100, "bernoulli", 0)
 

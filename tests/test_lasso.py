@@ -436,10 +436,11 @@ class TestHelpers:
 
     @pytest.mark.parametrize("lam, tol, max_iter", [
         (np.nan, 1e-8, 100), (np.inf, 1e-8, 100), (0.0, 1e-8, 100),
-        (0.1, np.nan, 100), (0.1, 0.0, 100), (0.1, 1e-8, np.nan)])
+        (0.1, np.nan, 100), (0.1, 0.0, 100), (0.1, np.inf, 100), (0.1, 1e-8, np.nan)])
     def test_non_finite_or_nonpositive_parameters(self, lam, tol, max_iter):
         A, y = small_instance(1)
-        with pytest.raises(ValueError):
+        name = "lambda" if not 0 < lam < np.inf else "tol" if not 0 < tol < np.inf else "max_iter"
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
             solve_lasso(A, y, lam, tol=tol, max_iter=max_iter)
 
     def test_invalid_max_iter(self):

@@ -303,11 +303,20 @@ def test_threshold_whose_square_overflows_cuts_everything():
     (lambda: SEParams(delta=True, sigma2=0.2, prior=FIG4.prior), "delta"),
     (lambda: SEParams(delta=0.64, sigma2=math.nan, prior=FIG4.prior), "sigma2"),
     (lambda: SEParams(delta=-0.64, sigma2=0.2, prior=FIG4.prior), "delta"),
+    (lambda: se_sequence(FIG4, math.nan, 3), "alpha"),
+    (lambda: se_sequence(FIG4, 2.0, -1), "T"),
+    (lambda: two_time_recursion(FIG4, 2.0, 0), "T"),
+    (lambda: mse_functional(FIG4.prior, math.nan, 1.0), "tau"),
+    (lambda: cross_mse_functional(FIG4.prior, 0.5, -0.7, 0.1, 1.0, 1.0), "tau_b"),
+    (lambda: cross_mse_functional(FIG4.prior, 0.5, 0.7, 0.1, math.nan, 1.0), "theta_a"),
 ], ids=["fixed_point", "fixed_point_start", "se_map_tau2", "se_map_theta",
         "se_derivative_alpha", "se_derivative_tau2", "two_time_recursion", "alpha_min",
-        "invert_calibration", "SEParams_bool", "SEParams_nan", "SEParams_negative"])
+        "invert_calibration", "SEParams_bool", "SEParams_nan", "SEParams_negative",
+        "se_sequence_alpha", "se_sequence_T", "two_time_recursion_T", "mse_tau",
+        "cross_tau_b", "cross_theta_a"])
 def test_nan_or_nonpositive_parameter_rejected_at_once(call, name):
-    with pytest.raises(ValueError, match=name):
+    # the whole word: "tau2" must not pass on a message about tau2_init
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call()
 
 
@@ -348,6 +357,30 @@ def test_infinite_argument_rejected_or_taken_to_its_limit(call, expected):
             call()
     else:
         assert call() == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+class TestSharedSequence:
+    def test_fixed_point_at_a_calibrated_alpha_reads_the_calibration_sequence(self, monkeypatch):
+        state_evolution._se_memo.cache_clear()
+        bundle = predicted_risk(FIG4, 0.7)
+        calls = []
+        monkeypatch.setattr(state_evolution, "se_map",
+                            lambda *args: calls.append(args) or se_map(*args))
+        traj = fixed_point(FIG4, bundle.alpha)
+        T = len(traj.tau2_sequence) - 1
+        assert traj.tau2_star == bundle.tau2_star == traj.tau2_sequence[-1]
+        assert traj.tau2_sequence == se_sequence(FIG4, bundle.alpha, T)
+        assert calls == []
+
+    def test_own_start_leaves_the_memo_untouched(self, monkeypatch):
+        state_evolution._se_memo.cache_clear()
+        stored = se_sequence(FIG4, 2.0, 4)
+        calls = []
+        monkeypatch.setattr(state_evolution, "se_map",
+                            lambda *args: calls.append(args) or se_map(*args))
+        traj = fixed_point(FIG4, 2.0, tau2_init=3.0)
+        assert traj.tau2_sequence[0] == 3.0 and len(calls) == len(traj.tau2_sequence)
+        assert state_evolution._se_memo(FIG4, 2.0) == stored
 
 
 class TestTwoTimeRecursion:
