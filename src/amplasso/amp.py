@@ -36,9 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, DivergenceError
-from .scalars import integer_at_least, positive_float, soft_threshold
+from .scalars import integer_at_least, one_of, positive_float, soft_threshold
 from .state_evolution import invert_calibration, se_sequence
 
+THRESHOLD_POLICIES = ("se", "residual")
 _SIGN_SLACK = 1e-12
 # active_set_size counts the near-boundary coordinates: those whose
 # boundary value |(pre - x)/theta| is at least 1 - _ACTIVE_GAMMA
@@ -176,8 +177,7 @@ def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
             penalty or an alpha that is not finite and positive, or alphas
             that do not match lams.
     """
-    if threshold_policy not in ("se", "residual"):
-        raise ValueError(f"unknown threshold policy {threshold_policy!r}")
+    one_of(threshold_policy, THRESHOLD_POLICIES, "threshold_policy")
     integer_at_least(t_max, 1, "t_max")
     if len(alphas) != len(lams):
         raise ValueError(f"{len(lams)} penalties and {len(alphas)} alphas")
@@ -254,15 +254,13 @@ def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
     return outcomes
 
 
-def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
-            threshold_policy="se", alpha=None):
+def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8, threshold_policy="se"):
     """Run the iteration with thresholds theta_t = alpha * tau_t.
 
-    alpha is invert_calibration(lam), computed here unless the caller passes
-    it (a sweep holds it from predicted_risk already); tau_t is the SE
-    sequence by default (threshold_policy="se"). threshold_policy="residual"
-    takes the first threshold from the residual scale, theta_0 = alpha * ||y||/sqrt(n),
-    and then sets theta_t = lam + b_{t-1} * theta_{t-1}, where b_{t-1} is the
+    alpha is invert_calibration(lam); tau_t is the SE sequence by default
+    (threshold_policy="se"). threshold_policy="residual" takes the first
+    threshold from the residual scale, theta_0 = alpha * ||y||/sqrt(n), and
+    then sets theta_t = lam + b_{t-1} * theta_{t-1}, where b_{t-1} is the
     previous step's Onsager coefficient (active count / n). At a fixed point
     with a stable support this gives theta * (1 - b) = lam exactly, so the
     fixed point is the exact LASSO minimiser at lam on the drawn instance
@@ -283,7 +281,7 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
     the support. amp_step with the recorded thresholds replays the run.
 
     This is the one-row case of run_amp_grid, which runs several penalties
-    on one instance together.
+    on one instance together, each at a threshold ratio its caller gives.
 
     Returns:
         (final AmpState, list of AmpDiagnostics, one entry per step).
@@ -292,10 +290,8 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8,
         DivergenceError: a non-finite iterate.
         ConsistencyError: a boundary coordinate exceeds 1 in magnitude.
     """
-    if alpha is None:
-        alpha = invert_calibration(params, lam)
-    (outcome,) = run_amp_grid(instance, params, [lam], [alpha], t_max, stop_tol,
-                              threshold_policy)
+    (outcome,) = run_amp_grid(instance, params, [lam], [invert_calibration(params, lam)],
+                              t_max, stop_tol, threshold_policy)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

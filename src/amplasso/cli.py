@@ -9,7 +9,8 @@ Subcommands:
 Every subcommand reads its values from one ExperimentConfig, parsed and
 validated before anything is written.
 
-Exit codes: 0 success, 2 invalid config or arguments, 3 a cell or check failed.
+Exit codes: 0 success, 2 invalid config or arguments, 3 a cell or check
+failed, or the theory failed (an AmplassoError in se-curves or min-lambda).
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
+from .errors import AmplassoError
 from .experiments import (RECORD_COLUMNS, ExperimentConfig, dump_se_curves, minimum_lambda,
                           run_sweep, write_curve_tables, write_records_csv)
 from .instances import generate, load_instance, singular_edge_check
@@ -29,11 +32,6 @@ from .instances import generate, load_instance, singular_edge_check
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_FAILED_CELL = 3
-
-
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _cmd_sweep(args, config):
@@ -147,11 +145,15 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig.from_json(_load_json(args.config)) if args.config else None
+        config = (ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
+                  if args.config else None)
         return args.func(args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
+    except AmplassoError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _EXIT_FAILED_CELL
 
 
 if __name__ == "__main__":

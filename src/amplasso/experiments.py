@@ -39,11 +39,11 @@ from dataclasses import MISSING, astuple, dataclass, field, fields
 import numpy as np
 
 from ._version import __version__
-from .amp import run_amp_grid
+from .amp import THRESHOLD_POLICIES, run_amp_grid
 from .errors import ConvergenceError
-from .instances import ENSEMBLES, generate
+from .instances import ENSEMBLES, generate, row_count
 from .lasso import solve_lasso
-from .scalars import Prior, finite_float, integer
+from .scalars import Prior, finite_float, integer_at_least, one_of, positive_float
 from .state_evolution import SEParams, alpha_min, calibrate_lambda, fixed_point, predicted_risk, se_map
 
 # minimum_lambda: points of the coarse grid, and the Brent search's
@@ -58,81 +58,84 @@ def _string(value):
     return value
 
 
-def _list(item):
-    def parse(value):
+def _list(item, distinct=False, optional=False):
+    """A list key's check: a nonempty list of `item`-checked entries, as a tuple."""
+    def check(value):
+        if optional and value is None:
+            return None
         if not isinstance(value, (list, tuple)) or len(value) == 0:
             raise ValueError(f"expected a nonempty list, got {value!r}")
-        return tuple(item(v) for v in value)
-    return parse
-
-
-def _list_or_none(item):
-    parse = _list(item)
-    return lambda value: None if value is None else parse(value)
-
-
-def _distinct(values):
-    return len(set(values)) == len(values)
+        values = tuple(item(v) for v in value)
+        if distinct and len(set(values)) < len(values):
+            raise ValueError(f"expected distinct entries, got {values!r}")
+        return values
+    return check
 
 
 def _prior(value):
     return value if isinstance(value, Prior) else Prior.from_json(value)
 
 
-def _key(parse, in_range=None, demand="", default=MISSING):
-    """A config key with its one rule: `parse` checks the value's type (and
-    turns lists into tuples), then `in_range`, if given, checks the value
-    against what `demand` describes."""
-    return field(default=default, metadata={"rule": (parse, in_range, demand)})
+def _nonnegative_float(value):
+    value = finite_float(value)
+    if value < 0:
+        raise ValueError(f"expected a nonnegative number, got {value!r}")
+    return value
+
+
+def _bracket(bracket):
+    """(lo, hi) as floats, if `bracket` holds two numbers with 0 < lo <= hi."""
+    pair = tuple(float(v) for v in bracket)
+    if not (len(pair) == 2 and 0 < pair[0] <= pair[1]):
+        raise ValueError(f"bracket must be two numbers with 0 < lo <= hi, got {pair}")
+    return pair
+
+
+def _key(check, default=MISSING):
+    """A config key with its one check, which returns the value as stored."""
+    return field(default=default, metadata={"check": check})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every value the subcommands read from a config file, JSON round-trippable.
 
-    Each field's rule runs in __post_init__, so from_json and construction
-    from Python check a key the same way.
+    Each key's check (that of the library entry point the key feeds, under its
+    argument's name) runs in __post_init__, for from_json and Python alike.
     """
 
-    delta: float = _key(finite_float)  # delta and sigma2 ranges: SEParams
-    sigma2: float = _key(finite_float)
+    delta: float = _key(lambda v: positive_float(v, "delta"))
+    sigma2: float = _key(lambda v: positive_float(v, "sigma2"))
     prior: Prior = _key(_prior)
     # distinct entries: a repeated one would make a second copy of its cells
-    lambda_grid: tuple = _key(_list(finite_float), lambda v: min(v) > 0 and _distinct(v),
-                              "distinct positive entries")
-    N_list: tuple = _key(_list(integer), lambda v: min(v) >= 2 and _distinct(v),
-                         "distinct entries >= 2")
-    seeds: tuple = _key(_list(integer), lambda v: min(v) >= 0 and _distinct(v),
-                        "distinct entries >= 0")
-    ensemble: str = _key(_string, lambda v: v in ENSEMBLES, f"one of {sorted(ENSEMBLES)}",
-                         default="gaussian")
-    amp_t_max: int = _key(integer, lambda v: v >= 1, "at least 1", default=200)
+    lambda_grid: tuple = _key(_list(lambda v: positive_float(v, "lambda"), distinct=True))
+    N_list: tuple = _key(_list(lambda v: integer_at_least(v, 2, "N"), distinct=True))
+    seeds: tuple = _key(_list(lambda v: integer_at_least(v, 0, "seed"), distinct=True))
+    ensemble: str = _key(lambda v: one_of(v, ENSEMBLES, "ensemble"), default="gaussian")
+    amp_t_max: int = _key(lambda v: integer_at_least(v, 1, "t_max"), default=200)
     amp_stop_tol: float = _key(finite_float, default=1e-8)
-    amp_policy: str = _key(_string, lambda v: v in ("se", "residual"), "'se' or 'residual'",
+    amp_policy: str = _key(lambda v: one_of(v, THRESHOLD_POLICIES, "threshold_policy"),
                            default="residual")
-    lasso_tol: float = _key(finite_float, lambda v: v > 0, "a positive number", default=1e-8)
-    lasso_max_iter: int = _key(integer, lambda v: v >= 1, "at least 1", default=50_000)
+    lasso_tol: float = _key(lambda v: positive_float(v, "tol"), default=1e-8)
+    lasso_max_iter: int = _key(lambda v: integer_at_least(v, 1, "max_iter"), default=50_000)
     out: str = _key(_string, default="results")
     # read by se-curves (the two grids default to dump_se_curves' own) and min-lambda
-    alpha_grid: tuple | None = _key(_list_or_none(finite_float), default=None)
-    tau2_grid: tuple | None = _key(_list_or_none(finite_float),
-                                   lambda v: v is None or min(v) > 0, "positive entries",
+    alpha_grid: tuple | None = _key(_list(finite_float, optional=True), default=None)
+    tau2_grid: tuple | None = _key(_list(lambda v: positive_float(v, "tau2"), optional=True),
                                    default=None)
-    f_map_alpha: float = _key(finite_float, lambda v: v >= 0, "a nonnegative number", default=2.0)
-    lambda_bracket: tuple = _key(_list(finite_float), lambda v: len(v) == 2 and 0 < v[0] <= v[1],
-                                 "two entries with 0 < lo <= hi", default=(0.05, 2.0))
+    f_map_alpha: float = _key(_nonnegative_float, default=2.0)
+    lambda_bracket: tuple = _key(lambda v: _bracket(_list(finite_float)(v)), default=(0.05, 2.0))
 
     def __post_init__(self):
         for f in fields(self):
-            parse, in_range, demand = f.metadata["rule"]
             try:
-                value = parse(getattr(self, f.name))
+                value = f.metadata["check"](getattr(self, f.name))
+                if f.name == "N_list":  # generate's rule, at the delta checked above
+                    for N in value:
+                        row_count(self.delta, N)
             except ValueError as exc:
                 raise ValueError(f"config key {f.name}: {exc}") from None
-            if in_range is not None and not in_range(value):
-                raise ValueError(f"config key {f.name}: expected {demand}, got {value!r}")
             object.__setattr__(self, f.name, value)
-        self.se_params  # raises on a delta or sigma2 out of range
 
     @property
     def se_params(self):
@@ -330,16 +333,15 @@ def dump_se_curves(params, alpha_grid=None, tau2_grid=None, f_map_alpha=2.0):
     (default 2.0); the second and third trace the fixed point tau*(alpha)
     and the calibrated penalty lambda(alpha) over alpha_grid.
     """
+    a_min = alpha_min(params.delta)
     if alpha_grid is None:
-        lo = alpha_min(params.delta)
-        alpha_grid = np.linspace(lo + 0.05, 4.0, 80)
+        alpha_grid = np.linspace(a_min + 0.05, 4.0, 80)
     if tau2_grid is None:
         tau2_grid = np.linspace(1e-4, 2.0 * params.tau2_init, 200)
 
     f_rows = [(float(t2), se_map(params, float(t2), f_map_alpha * math.sqrt(float(t2))))
               for t2 in tau2_grid]
 
-    a_min = alpha_min(params.delta)
     tau_rows = []
     lam_rows = []
     for a in alpha_grid:
@@ -384,9 +386,7 @@ def minimum_lambda(params, lambda_bracket):
     bounded Brent search that assumes unimodality. Otherwise Brent's search
     runs between the grid neighbours of the best grid point.
     """
-    lo, hi = float(lambda_bracket[0]), float(lambda_bracket[1])
-    if not (0 < lo <= hi):
-        raise ValueError(f"bracket must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+    lo, hi = _bracket(lambda_bracket)
 
     def risk(lam):
         return predicted_risk(params, lam).mse_predicted

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import integer_at_least, positive_float
+from .scalars import integer_at_least, one_of, positive_float
 
 ENSEMBLES = ("gaussian", "rademacher")
 _FIELD_TAGS = {"x0": 0, "w": 1, "A": 2}
@@ -45,18 +45,24 @@ def _stream(seed, field):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_FIELD_TAGS[field],)))
 
 
+def row_count(delta, N):
+    """n = round(delta * N), ties to even, the rows of an instance; a ValueError if it is 0."""
+    n = int(round(delta * N))
+    if n < 1:
+        raise ValueError(f"delta*N rounds to {n}; need at least one row")
+    return n
+
+
 def generate(params, N, ensemble, seed):
     """Draw an instance: x0 iid from the prior, w iid N(0, sigma2), A per ensemble.
 
-    n = round(delta * N) with ties to even. Deterministic given seed; the
-    three fields use independent substreams of the seed.
+    n = row_count(delta, N). Deterministic given seed, an integer of at
+    least 0; the three fields use independent substreams of the seed.
     """
-    if ensemble not in ENSEMBLES:
-        raise ValueError(f"ensemble must be one of {ENSEMBLES}, got {ensemble!r}")
+    one_of(ensemble, ENSEMBLES, "ensemble")
     integer_at_least(N, 2, "N")
-    n = int(round(params.delta * N))
-    if n < 1:
-        raise ValueError(f"delta*N rounds to {n}; need at least one row")
+    seed = integer_at_least(seed, 0, "seed")
+    n = row_count(params.delta, N)
     x0 = _stream(seed, "x0").choice(params.prior.atoms_arr, size=N, p=params.prior.weights_arr)
     w = _stream(seed, "w").normal(0.0, np.sqrt(params.sigma2), n)
     if ensemble == "gaussian":
@@ -64,7 +70,7 @@ def generate(params, N, ensemble, seed):
     else:
         A = (_stream(seed, "A").integers(0, 2, (n, N)) * 2.0 - 1.0) / np.sqrt(n)
     y = A @ x0 + w
-    return Instance(A=A, x0=x0, w=w, y=y, seed=int(seed), ensemble=ensemble,
+    return Instance(A=A, x0=x0, w=w, y=y, seed=seed, ensemble=ensemble,
                     delta=float(params.delta), sigma2=float(params.sigma2))
 
 

@@ -97,23 +97,18 @@ def positive_float(value, name):
     return float(value)
 
 
-def integer(value):
-    """`value` as an int, if it is an integral, non-boolean number.
-
-    Raises:
-        ValueError: for a boolean, a float (2.5 and 2.0 alike), an infinity
-            or a non-number.
-    """
-    if not _number(value, numbers.Integral):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def integer_at_least(value, k, name):
-    """`value` as an int if integer takes it and it is at least k, else a ValueError naming `name`."""
+    """`value` as an int if it is an integral non-boolean number (2.0 is not) of at least k, else a ValueError naming `name`."""
     if not (_number(value, numbers.Integral) and value >= k):
         raise ValueError(f"{name} must be an integer of at least {k}, got {value!r}")
     return int(value)
+
+
+def one_of(value, choices, name):
+    """`value` if it is one of `choices`, else a ValueError naming `name`."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -176,8 +176,9 @@ class TestRunAmp:
         monkeypatch.setattr(amplasso.state_evolution, "se_map", counted)
         # start from an empty memo, whatever other tests ran at this alpha
         amplasso.state_evolution._se_memo.cache_clear()
-        state, diag = run_amp(tiny_instance(6, N=400), FIG4, 1.0, t_max=200, stop_tol=1e-6,
-                              alpha=alpha)
+        # at a given alpha, so that no calibration calls se_map
+        ((state, diag),) = run_amp_grid(tiny_instance(6, N=400), FIG4, [1.0], [alpha],
+                                        t_max=200, stop_tol=1e-6)
         assert state.t == len(diag) < 200
         # tau2_se[1..T] for T steps; tau2_se[0] is tau2_init and needs no call
         assert len(calls) == state.t
@@ -188,8 +189,8 @@ class TestRunAmp:
         # runs on other instances at the same alpha share the sequence: a
         # longer run computes only its steps past the first run, a shorter none
         for t_max in (state.t + 5, 3):
-            _, other = run_amp(tiny_instance(7, N=400), FIG4, 1.0, t_max=t_max,
-                               stop_tol=-1.0, alpha=alpha)
+            ((_, other),) = run_amp_grid(tiny_instance(7, N=400), FIG4, [1.0], [alpha],
+                                         t_max=t_max, stop_tol=-1.0)
             assert len(other) == t_max and len(calls) == state.t + 5
             common = min(t_max, state.t)
             assert [row.tau2_se for row in other[:common]] == [row.tau2_se for row in diag[:common]]
@@ -206,12 +207,13 @@ class TestRunAmp:
 
     @pytest.mark.parametrize("policy", ["se", "residual"])
     def test_given_alpha_gives_the_same_run(self, policy):
+        # a sweep hands run_amp_grid the alpha of its prediction; run_amp calibrates its own
         inst = tiny_instance(14, N=300)
         plain_state, plain_diag = run_amp(inst, FIG4, 0.9, t_max=40,
                                           threshold_policy=policy)
-        given_state, given_diag = run_amp(inst, FIG4, 0.9, t_max=40,
-                                          threshold_policy=policy,
-                                          alpha=predicted_risk(FIG4, 0.9).alpha)
+        ((given_state, given_diag),) = run_amp_grid(inst, FIG4, [0.9],
+                                                    [predicted_risk(FIG4, 0.9).alpha],
+                                                    t_max=40, threshold_policy=policy)
         assert np.array_equal(plain_state.x, given_state.x)
         assert np.array_equal(plain_state.z, given_state.z)
         assert (plain_state.t, plain_state.theta_t, plain_state.onsager) == \
@@ -222,7 +224,7 @@ class TestRunAmp:
         inst = tiny_instance(17, N=100)
         for a in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                run_amp(inst, FIG4, 1.0, t_max=3, alpha=a)
+                run_amp_grid(inst, FIG4, [1.0], [a], t_max=3)
 
     def test_early_stop(self):
         inst = tiny_instance(6, N=400)
@@ -262,7 +264,7 @@ class TestRunAmp:
 
     def test_divergence_detected(self):
         with pytest.raises(DivergenceError, match="non-finite iterate at t=1") as info:
-            run_amp(overflowing_instance(), FIG4, 1.0, alpha=1.0, threshold_policy="residual")
+            run_amp(overflowing_instance(), FIG4, 1.0, threshold_policy="residual")
         assert info.value.t == 1
 
     def test_no_stop_on_the_first_step(self):
@@ -282,7 +284,7 @@ class TestRunAmp:
 
     def test_unknown_policy(self):
         inst = tiny_instance(8, N=50)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="threshold_policy must be one of"):
             run_amp(inst, FIG4, 1.0, threshold_policy="what")
 
 
@@ -314,9 +316,9 @@ class TestRunAmpGrid:
                             threshold_policy=policy)
         # the rows stop at different times, so the stack shrinks as it runs
         assert len({state.t for state, _ in runs}) > 1
-        for lam, alpha, run in zip(GRID, alphas, runs):
+        for lam, run in zip(GRID, runs):
             assert_same_run(run, run_amp(inst, FIG4, lam, t_max=80, stop_tol=1e-8,
-                                         threshold_policy=policy, alpha=alpha))
+                                         threshold_policy=policy))
 
     @pytest.mark.parametrize("lams", [GRID[:1], GRID])
     def test_products_two_per_step_of_the_longest_row(self, lams):
@@ -340,7 +342,7 @@ class TestRunAmpGrid:
         assert_same_run(forced[0], plain[0])
         assert_same_run(forced[2], plain[2])
         with pytest.raises(ConsistencyError, match="exceeds 1 by"):
-            run_amp(inst, FIG4, GRID[1], alpha=alphas[1], **kw)
+            run_amp(inst, FIG4, GRID[1], **kw)
 
     @pytest.mark.parametrize("step", [0, 2])
     def test_diverged_row_leaves_the_others_unchanged(self, monkeypatch, step):

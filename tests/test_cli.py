@@ -9,6 +9,8 @@ import pytest
 
 import amplasso
 import amplasso.cli as cli
+import amplasso.experiments as exps
+from amplasso.errors import ConvergenceError
 from amplasso.experiments import ExperimentRecord
 from amplasso.instances import generate, save_instance
 from amplasso.state_evolution import SEParams
@@ -148,6 +150,8 @@ MALFORMED = [
     _malformed("tau2_grid-infinity", "tau2_grid", {**SMALL, "tau2_grid": [INF]}),
     _malformed("f_map_alpha-infinity", "f_map_alpha", {**SMALL, "f_map_alpha": INF}),
     _malformed("lambda_bracket-reversed", "lambda_bracket", {**SMALL, "lambda_bracket": [2.0, 0.5]}),
+    # round(0.2 * 2) = 0: no instance of the grid would have a row
+    _malformed("N_list-no-rows", "N_list", {**SMALL, "delta": 0.2, "N_list": [2]}),
 ]
 
 
@@ -263,6 +267,32 @@ def test_min_lambda(tmp_path, capsys):
     assert cli.main(["min-lambda", "--config", cfg]) == 0
     text = capsys.readouterr().out
     assert "lambda_opt" in text and "mse_opt" in text
+
+
+def test_min_lambda_theory_failure_exits_three(tmp_path, capsys):
+    # no threshold ratio up to the cap reaches the bracket's upper penalty
+    cfg = small_config(tmp_path, lambda_bracket=[0.05, 1e7])
+    assert cli.main(["min-lambda", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ConvergenceError: no alpha <= 1e+06 reaches lambda=")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_se_curves_theory_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # a fixed point just above alpha_min takes seconds to exhaust its cap; stand in for it
+    def stalled(params, alpha, tau2_init=None):
+        raise ConvergenceError(f"state-evolution fixed point did not converge in 100000 "
+                               f"iterations (alpha={alpha})")
+
+    monkeypatch.setattr(exps, "fixed_point", stalled)
+    cfg = small_config(tmp_path, alpha_grid=[0.2671558256])
+    out = tmp_path / "curves"
+    assert cli.main(["se-curves", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(out.iterdir()) == []
+    assert captured.err == ("error: ConvergenceError: state-evolution fixed point did not "
+                            "converge in 100000 iterations (alpha=0.2671558256)\n")
 
 
 def test_min_lambda_default_bracket(tmp_path, capsys):

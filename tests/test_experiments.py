@@ -15,11 +15,14 @@ import amplasso.amp
 import amplasso.experiments as exps
 import amplasso.instances
 import amplasso.lasso
+from amplasso.amp import run_amp_grid
 from amplasso.errors import ConvergenceError
 from amplasso.experiments import (CurveTables, ExperimentConfig, ExperimentRecord,
                                   dump_se_curves,
                                   minimum_lambda, run_sweep, write_curve_tables,
                                   write_records_csv)
+from amplasso.instances import generate
+from amplasso.lasso import solve_lasso
 from amplasso.scalars import Prior, get_preset
 from amplasso.state_evolution import SEParams, alpha_min, fixed_point, predicted_risk, se_map
 
@@ -76,6 +79,7 @@ class TestConfig:
         {"amp_stop_tol": NAN}, {"tau2_grid": (INF,)}, {"f_map_alpha": INF},
         {"lambda_bracket": (2.0, 0.5)}, {"alpha_grid": ()}, {"tau2_grid": ()},
         {"lambda_grid": (1.0, 1.0, 2.0)}, {"N_list": (120, 120)}, {"seeds": (0, 0)},
+        {"delta": 0.2, "N_list": (2,)},
     ])
     def test_validation_rejects(self, patch):
         obj = SMALL.to_json()
@@ -84,6 +88,42 @@ class TestConfig:
             ExperimentConfig.from_json(obj)
         with pytest.raises(ValueError):
             replace(SMALL, **patch)
+
+    @pytest.mark.parametrize("key, patch, library_call", [
+        pytest.param("amp_t_max", {"amp_t_max": 2.5}, lambda: run_amp_grid(
+            generate(FIG4, 20, "gaussian", 0), FIG4, [1.0], [1.0], t_max=2.5), id="t_max"),
+        pytest.param("lasso_tol", {"lasso_tol": 0.0},
+                     lambda: solve_lasso(np.eye(2), np.ones(2), 1.0, tol=0.0), id="tol"),
+        pytest.param("lasso_max_iter", {"lasso_max_iter": 0},
+                     lambda: solve_lasso(np.eye(2), np.ones(2), 1.0, max_iter=0), id="max_iter"),
+        pytest.param("N_list", {"N_list": [1]}, lambda: generate(FIG4, 1, "gaussian", 0), id="N"),
+        pytest.param("delta", {"delta": 0.0},
+                     lambda: SEParams(delta=0.0, sigma2=0.2, prior=FIG4.prior), id="delta"),
+        pytest.param("amp_policy", {"amp_policy": "adaptive"}, lambda: run_amp_grid(
+            generate(FIG4, 20, "gaussian", 0), FIG4, [1.0], [1.0], threshold_policy="adaptive"),
+            id="threshold_policy"),
+        pytest.param("lambda_bracket", {"lambda_bracket": [2.0, 0.5]},
+                     lambda: minimum_lambda(FIG4, (2.0, 0.5)), id="bracket"),
+        pytest.param("N_list", {"delta": 0.2, "N_list": [2]}, lambda: generate(
+            SEParams(delta=0.2, sigma2=0.2, prior=FIG4.prior), 2, "gaussian", 0), id="rows"),
+        pytest.param("sigma2", {"sigma2": -1.0},
+                     lambda: SEParams(delta=0.64, sigma2=-1.0, prior=FIG4.prior), id="sigma2"),
+        pytest.param("lambda_grid", {"lambda_grid": [0.5, NAN]},
+                     lambda: predicted_risk(FIG4, NAN), id="lambda"),
+        pytest.param("seeds", {"seeds": [-1]}, lambda: generate(FIG4, 20, "gaussian", -1),
+                     id="seed"),
+        pytest.param("ensemble", {"ensemble": "toeplitz"},
+                     lambda: generate(FIG4, 20, "toeplitz", 0), id="ensemble"),
+        pytest.param("tau2_grid", {"tau2_grid": [0.0]}, lambda: se_map(FIG4, 0.0, 1.0),
+                     id="tau2"),
+    ])
+    def test_config_error_reads_as_the_library_error(self, key, patch, library_call):
+        # each key is checked by the rule of the entry point it feeds, under the same name
+        with pytest.raises(ValueError) as config_error:
+            ExperimentConfig.from_json({**SMALL.to_json(), **patch})
+        with pytest.raises(ValueError) as library_error:
+            library_call()
+        assert str(config_error.value) == f"config key {key}: {library_error.value}"
 
     def test_integer_numbers_load_as_floats(self):
         obj = {**SMALL.to_json(), "sigma2": 1, "f_map_alpha": 2}

@@ -73,8 +73,13 @@ class TestGenerate:
         for N in (1, 100.0, True):
             with pytest.raises(ValueError, match=r"\bN\b"):
                 generate(FIG4, N, "gaussian", 0)
-        with pytest.raises(ValueError):
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ValueError, match=r"\bseed\b"):
+                generate(FIG4, 100, "gaussian", seed)
+        with pytest.raises(ValueError, match="ensemble"):
             generate(FIG4, 100, "bernoulli", 0)
+        with pytest.raises(ValueError, match=r"delta\*N rounds to 0"):
+            generate(SEParams(delta=0.2, sigma2=0.2, prior=FIG4.prior), 2, "gaussian", 0)
 
 
 class TestSingularEdges:
