@@ -43,13 +43,12 @@ from .amp import THRESHOLD_POLICIES, run_amp_grid
 from .errors import ConvergenceError
 from .instances import ENSEMBLES, generate, row_count
 from .lasso import solve_lasso
-from .scalars import Prior, finite_float, integer_at_least, one_of, positive_float
-from .state_evolution import SEParams, alpha_min, calibrate_lambda, fixed_point, predicted_risk, se_map
+from .scalars import Prior, _mse_slope, finite_float, integer_at_least, one_of, positive_float
+from .state_evolution import (SEParams, _brent_root, alpha_min, calibrate_lambda, fixed_point,
+                              predicted_risk, se_map)
 
-# minimum_lambda: points of the coarse grid, and the Brent search's
-# absolute x tolerance as a fraction of max(1, lambda)
+# minimum_lambda: points of the coarse grid
 _COARSE_POINTS = 17
-_SEARCH_REL_TOL = 1e-4
 
 
 def _string(value):
@@ -317,8 +316,9 @@ class CurveTables:
     """Plot-ready tables: the scalar map, its fixed point, and the penalty map.
 
     f_map rows: (tau2, f_value). tau_star rows: (alpha, tau_star, warning).
-    lambda_of_alpha rows: (alpha, lambda, warning). Rows whose alpha is at or
-    below the admissible minimum carry nan values and a warning message.
+    lambda_of_alpha rows: (alpha, lambda, warning). Rows whose alpha
+    fixed_point rejects (at or below the admissible minimum) carry nan values
+    and its message, ending "; dropped".
     """
 
     f_map: list
@@ -333,9 +333,8 @@ def dump_se_curves(params, alpha_grid=None, tau2_grid=None, f_map_alpha=2.0):
     (default 2.0); the second and third trace the fixed point tau*(alpha)
     and the calibrated penalty lambda(alpha) over alpha_grid.
     """
-    a_min = alpha_min(params.delta)
     if alpha_grid is None:
-        alpha_grid = np.linspace(a_min + 0.05, 4.0, 80)
+        alpha_grid = np.linspace(alpha_min(params.delta) + 0.05, 4.0, 80)
     if tau2_grid is None:
         tau2_grid = np.linspace(1e-4, 2.0 * params.tau2_init, 200)
 
@@ -346,12 +345,12 @@ def dump_se_curves(params, alpha_grid=None, tau2_grid=None, f_map_alpha=2.0):
     lam_rows = []
     for a in alpha_grid:
         a = float(a)
-        if a <= a_min:
-            warn = f"alpha <= alpha_min ({a_min:.6g}), dropped"
-            tau_rows.append((a, float("nan"), warn))
-            lam_rows.append((a, float("nan"), warn))
+        try:
+            tau_rows.append((a, math.sqrt(fixed_point(params, a).tau2_star), ""))
+        except ValueError as exc:
+            tau_rows.append((a, float("nan"), f"{exc}; dropped"))
+            lam_rows.append(tau_rows[-1])
             continue
-        tau_rows.append((a, math.sqrt(fixed_point(params, a).tau2_star), ""))
         lam_rows.append((a, calibrate_lambda(params, a), ""))
     return CurveTables(f_map=f_rows, tau_star=tau_rows, lambda_of_alpha=lam_rows)
 
@@ -382,31 +381,35 @@ def minimum_lambda(params, lambda_bracket):
     """Penalty minimizing the predicted risk inside the bracket.
 
     Samples a coarse grid first; if the profile is not unimodal on it, the
-    best grid point is returned with unimodal=False instead of trusting a
-    bounded Brent search that assumes unimodality. Otherwise Brent's search
-    runs between the grid neighbours of the best grid point.
+    best grid point is returned with unimodal=False. Otherwise one Brent root
+    in alpha, between the grid neighbours of the best point, finds where
+    d/dtheta E{[eta(X0 + tau* Z; theta) - X0]^2} vanishes at the fixed point
+    (tau*, alpha tau*): as 1 - dF/dtau^2 > 0 there and lambda(alpha)
+    increases, that slope has the sign of d mse/d lambda. The best grid
+    point is returned if the slope keeps its sign or the root's risk is higher.
     """
     lo, hi = _bracket(lambda_bracket)
-
-    def risk(lam):
-        return predicted_risk(params, lam).mse_predicted
-
     if hi == lo:
-        return MinimumLambdaResult(lo, risk(lo), True)
+        return MinimumLambdaResult(lo, predicted_risk(params, lo).mse_predicted, True)
 
     grid = np.linspace(lo, hi, _COARSE_POINTS)
-    vals = [risk(float(l)) for l in grid]
+    bundles = [predicted_risk(params, float(l)) for l in grid]
+    vals = [b.mse_predicted for b in bundles]
     k = int(np.argmin(vals))
     diffs = np.sign(np.diff(vals))
     changes = int(np.count_nonzero(np.diff(diffs[diffs != 0])))
+    best = MinimumLambdaResult(float(grid[k]), vals[k], changes <= 1)
     if changes > 1:
-        return MinimumLambdaResult(float(grid[k]), vals[k], False)
+        return best
 
-    # imported here so that the other subcommands start without loading SciPy
-    from scipy.optimize import minimize_scalar
+    def slope(alpha):
+        tau = math.sqrt(fixed_point(params, alpha).tau2_star)
+        return _mse_slope(params.prior, tau, alpha * tau)
 
-    a = float(grid[max(k - 1, 0)])
-    b = float(grid[min(k + 1, _COARSE_POINTS - 1)])
-    res = minimize_scalar(risk, bounds=(a, b), method="bounded",
-                          options={"xatol": _SEARCH_REL_TOL * max(1.0, b)})
-    return MinimumLambdaResult(float(res.x), float(res.fun), True)
+    a = bundles[max(k - 1, 0)].alpha
+    b = bundles[min(k + 1, _COARSE_POINTS - 1)].alpha
+    if slope(a) * slope(b) > 0.0:
+        return best
+    lam = calibrate_lambda(params, _brent_root(slope, a, b))
+    mse = predicted_risk(params, lam).mse_predicted
+    return MinimumLambdaResult(lam, mse, True) if mse <= best.mse_opt else best

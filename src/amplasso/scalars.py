@@ -238,6 +238,12 @@ def mse_functional(prior, tau, theta):
     return float(np.dot(prior.weights_arr, upper + lower + dead))
 
 
+def _mse_slope(prior, tau, theta):
+    """d/dtheta of mse_functional: 2 sum_a w_a [theta (Phi(-c+) + Phi(-d)) - tau (phi(c+) + phi(d))]."""
+    _, _, tail_cp, tail_d, pdf_cp, pdf_d = _gaussian_terms(prior.atoms_arr, tau, theta)
+    return 2.0 * float(np.dot(prior.weights_arr, theta * (tail_cp + tail_d) - tau * (pdf_cp + pdf_d)))
+
+
 def eta_prime_expectation(prior, tau, theta):
     """E{eta'(X0 + tau Z; theta)} = P{|X0 + tau Z| > theta}.
 

@@ -337,12 +337,13 @@ from amplasso.cli import main
 cfg, out = sys.argv[1], sys.argv[2]
 codes = [main(["sweep", "--config", cfg, "--out", out]),
          main(["se-curves", "--config", cfg, "--out", out]),
-         main(["check-instance", "--config", cfg])]
+         main(["check-instance", "--config", cfg]),
+         main(["min-lambda", "--config", cfg])]
 print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_sweep_se_curves_and_check_instance_run_without_scipy(tmp_path):
+def test_all_four_subcommands_run_without_scipy(tmp_path):
     # a fresh interpreter: this test process has SciPy loaded already
     cfg = small_config(tmp_path, lambda_grid=[0.5, 1.5], N_list=[40])
     src = os.path.dirname(os.path.dirname(amplasso.__file__))
@@ -351,5 +352,5 @@ def test_sweep_se_curves_and_check_instance_run_without_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, cfg, str(tmp_path / "run")],
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
     assert (tmp_path / "run" / "sweep.csv").exists() and (tmp_path / "run" / "f_map.csv").exists()

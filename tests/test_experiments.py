@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize_scalar
 
 import amplasso.amp
 import amplasso.experiments as exps
@@ -400,11 +401,33 @@ class TestMinimumLambda:
         assert 0.05 < res.lambda_opt < 2.0
         assert res.mse_opt <= predicted_risk(FIG4, 0.05).mse_predicted
         assert res.mse_opt <= predicted_risk(FIG4, 2.0).mse_predicted
-        # no worse than the golden-section search this replaced
+        # no worse than a golden-section search over the same bracket
         assert res.mse_opt <= 0.09582409088077033 + 1e-12
         # the search is tight enough that nearby penalties are no better
         for off in (-0.01, 0.01):
             assert predicted_risk(FIG4, res.lambda_opt + off).mse_predicted >= res.mse_opt - 1e-9
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+    def test_matches_scipy_bounded_minimiser(self, seed):
+        # README parameters, then drawn sets in the benchmark's theory ranges
+        params = FIG4
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            eps = rng.uniform(0.06, 0.15)
+            params = SEParams(rng.uniform(0.5, 0.8), rng.uniform(0.1, 0.4),
+                              Prior((-1.0, 0.0, 1.0), (eps / 2, 1.0 - eps, eps / 2)))
+        lo, hi = 0.05, 2.0
+        res = minimum_lambda(params, (lo, hi))
+        ref = minimize_scalar(lambda lam: predicted_risk(params, lam).mse_predicted,
+                              bounds=(lo, hi), method="bounded", options={"xatol": 1e-6})
+        assert res.unimodal
+        assert abs(res.lambda_opt - ref.x) <= 1e-4 * max(1.0, hi)
+        assert res.mse_opt <= ref.fun + 1e-12
+
+    def test_minimum_at_the_lower_end_returns_it(self):
+        res = minimum_lambda(FIG4, (1.5, 2.0))
+        assert res.lambda_opt == 1.5 and res.unimodal
+        assert res.mse_opt == predicted_risk(FIG4, 1.5).mse_predicted
 
     def test_degenerate_bracket(self):
         res = minimum_lambda(FIG4, (0.8, 0.8))

@@ -401,8 +401,7 @@ class TestHelpers:
         rng = np.random.default_rng(2)
         A = rng.normal(size=(40, 60))
         assert_allclose(spectral_norm(A), np.linalg.svd(A, compute_uv=False)[0], rtol=1e-8)
-        # the shape of the README instances in both ensembles; Lanczos is
-        # exact to rounding here, so a looser ARPACK stop would show
+        # the shape of the README instances in both ensembles, to rounding
         for seed in range(3):
             rng_A = np.random.default_rng(seed)
             for A in (rng_A.normal(size=(1280, 2000)),
@@ -410,7 +409,7 @@ class TestHelpers:
                 A /= np.sqrt(1280)
                 assert_allclose(spectral_norm(A), np.sqrt(np.linalg.eigvalsh(A @ A.T)[-1]),
                                 rtol=1e-14)
-        # rank one or zero: no Lanczos run
+        # rank one or zero
         for A in (rng.normal(size=(1, 50)), rng.normal(size=(50, 1))):
             assert_allclose(spectral_norm(A), np.linalg.svd(A, compute_uv=False)[0], rtol=1e-12)
         assert spectral_norm(np.zeros((8, 10))) == 0.0

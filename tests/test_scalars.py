@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
-from amplasso.scalars import (Prior, _ndtr, cross_mse_functional, eta_prime_expectation,
-                              get_preset, l1_expectation, mse_functional,
-                              soft_threshold)
+from amplasso.scalars import (Prior, _mse_slope, _ndtr, cross_mse_functional,
+                              eta_prime_expectation, get_preset, l1_expectation,
+                              mse_functional, soft_threshold)
 
 THREE = Prior((-1.0, 0.0, 1.0), (0.064, 0.872, 0.064))
 POINT = Prior((0.0,), (1.0,))
@@ -152,6 +152,14 @@ class TestMseFunctional:
     def test_nonnegative(self):
         for theta in (0.01, 0.5, 2.0, 10.0):
             assert mse_functional(THREE, 0.7, theta) >= 0.0
+
+    def test_threshold_slope_matches_central_differences(self):
+        rng = np.random.default_rng(7)
+        h = 1e-5
+        for prior in (THREE, SHIFTED) * 20:
+            tau, theta = rng.uniform(0.2, 2.0), rng.uniform(0.05, 3.0)
+            fd = (mse_functional(prior, tau, theta + h) - mse_functional(prior, tau, theta - h)) / (2 * h)
+            assert_allclose(_mse_slope(prior, tau, theta), fd, rtol=1e-7)
 
 
 @pytest.mark.parametrize("functional", [mse_functional, eta_prime_expectation, l1_expectation])
