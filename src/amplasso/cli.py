@@ -4,7 +4,7 @@ Subcommands:
     sweep           run the (lambda, N, seed) grid from a JSON config
     se-curves       dump the scalar-map, fixed-point, and penalty curves
     min-lambda      search the predicted-risk minimizer inside a bracket
-    check-instance  generate (or load) one instance and run sanity checks
+    check-instance  generate one instance and run sanity checks
 
 Every subcommand reads its values from one ExperimentConfig, parsed and
 validated before anything is written.
@@ -27,7 +27,7 @@ from ._version import __version__
 from .errors import AmplassoError
 from .experiments import (RECORD_COLUMNS, ExperimentConfig, dump_se_curves, minimum_lambda,
                           run_sweep, write_curve_tables, write_records_csv)
-from .instances import generate, load_instance, singular_edge_check
+from .instances import generate, singular_edge_check
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -67,8 +67,8 @@ def _cmd_se_curves(args, config):
     for name, path in sorted(paths.items()):
         print(f"wrote {path}")
     if dropped:
-        print(f"warning: {dropped} alpha values at or below the admissible minimum were dropped",
-              file=sys.stderr)
+        print(f"warning: {dropped} alpha values were dropped: at or below the admissible "
+              "minimum, or their fixed point did not converge", file=sys.stderr)
     if args.gnuplot:
         gp = os.path.join(out_dir, "se_curves.gp")
         with open(gp, "w") as fh:
@@ -79,6 +79,8 @@ def _cmd_se_curves(args, config):
                      'pause -1\n'
                      f'plot "{paths["lambda_of_alpha.csv"]}" using 1:2 skip 1 with lines title "lambda"\n')
         print(f"wrote {gp}")
+    if tables.failure is not None:
+        raise tables.failure
     return _EXIT_OK
 
 
@@ -92,15 +94,10 @@ def _cmd_min_lambda(args, config):
 
 
 def _cmd_check_instance(args, config):
-    if args.file:
-        inst = load_instance(args.file)
-    elif config is None:
-        raise ValueError("check-instance requires --config or --file")
-    else:
-        inst = generate(config.se_params, config.N_list[0], config.ensemble,
-                        args.seed_base + config.seeds[0])
-    sigma_max, sigma_min, ok = singular_edge_check(inst.A, inst.delta)
-    sqrt_inv = 1.0 / np.sqrt(inst.delta)
+    inst = generate(config.se_params, config.N_list[0], config.ensemble,
+                    args.seed_base + config.seeds[0])
+    sigma_max, sigma_min, ok = singular_edge_check(inst.A, config.delta)
+    sqrt_inv = 1.0 / np.sqrt(config.delta)
     norms = np.linalg.norm(inst.A, axis=0)
     print(f"instance: N={inst.N} n={inst.n} ensemble={inst.ensemble} seed={inst.seed}")
     print(f"sigma_max = {sigma_max:.6f} (limit {sqrt_inv + 1:.6f})")
@@ -135,9 +132,7 @@ def build_parser():
             ("sweep", _cmd_sweep, "run the full cell grid", [config, out, seed_base, gnuplot]),
             ("se-curves", _cmd_se_curves, "dump theory curves", [config, out, gnuplot]),
             ("min-lambda", _cmd_min_lambda, "minimize predicted risk over the penalty", [config]),
-            ("check-instance", _cmd_check_instance, "sanity-check one instance",
-             [flag("--config", help="JSON config path (needed unless --file is given)"), seed_base,
-              flag("--file", help="saved instance container to check instead of generating")])):
+            ("check-instance", _cmd_check_instance, "sanity-check one instance", [config, seed_base])):
         sub.add_parser(name, parents=flags, help=text).set_defaults(func=func)
     return parser
 
@@ -145,8 +140,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = (ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
-                  if args.config else None)
+        config = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
         return args.func(args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -317,13 +317,15 @@ class CurveTables:
 
     f_map rows: (tau2, f_value). tau_star rows: (alpha, tau_star, warning).
     lambda_of_alpha rows: (alpha, lambda, warning). Rows whose alpha
-    fixed_point rejects (at or below the admissible minimum) carry nan values
-    and its message, ending "; dropped".
+    fixed_point rejects (at or below the admissible minimum) or whose fixed
+    point does not converge carry nan values and the error's message, ending
+    "; dropped"; failure is the first ConvergenceError, or None.
     """
 
     f_map: list
     tau_star: list
     lambda_of_alpha: list
+    failure: ConvergenceError | None = None
 
 
 def dump_se_curves(params, alpha_grid=None, tau2_grid=None, f_map_alpha=2.0):
@@ -331,7 +333,8 @@ def dump_se_curves(params, alpha_grid=None, tau2_grid=None, f_map_alpha=2.0):
 
     The first table traces tau2 -> F(tau2, alpha*tau) at fixed alpha
     (default 2.0); the second and third trace the fixed point tau*(alpha)
-    and the calibrated penalty lambda(alpha) over alpha_grid.
+    and the calibrated penalty lambda(alpha) over alpha_grid. An alpha
+    without a fixed point drops only its own rows.
     """
     if alpha_grid is None:
         alpha_grid = np.linspace(alpha_min(params.delta) + 0.05, 4.0, 80)
@@ -343,16 +346,24 @@ def dump_se_curves(params, alpha_grid=None, tau2_grid=None, f_map_alpha=2.0):
 
     tau_rows = []
     lam_rows = []
+    failure = None
     for a in alpha_grid:
         a = float(a)
         try:
-            tau_rows.append((a, math.sqrt(fixed_point(params, a).tau2_star), ""))
+            tau = math.sqrt(fixed_point(params, a).tau2_star)
         except ValueError as exc:
-            tau_rows.append((a, float("nan"), f"{exc}; dropped"))
-            lam_rows.append(tau_rows[-1])
+            warning = f"{exc}; dropped"
+        except ConvergenceError as exc:
+            failure = failure or exc
+            warning = f"{type(exc).__name__}: {exc}; dropped"
+        else:
+            tau_rows.append((a, tau, ""))
+            lam_rows.append((a, calibrate_lambda(params, a), ""))
             continue
-        lam_rows.append((a, calibrate_lambda(params, a), ""))
-    return CurveTables(f_map=f_rows, tau_star=tau_rows, lambda_of_alpha=lam_rows)
+        tau_rows.append((a, float("nan"), warning))
+        lam_rows.append(tau_rows[-1])
+    return CurveTables(f_map=f_rows, tau_star=tau_rows, lambda_of_alpha=lam_rows,
+                       failure=failure)
 
 
 def write_curve_tables(tables, out_dir):

@@ -7,16 +7,14 @@ or held fixed without touching the others.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import integer_at_least, one_of, positive_float
+from .scalars import integer_at_least, one_of
 
 ENSEMBLES = ("gaussian", "rademacher")
 _FIELD_TAGS = {"x0": 0, "w": 1, "A": 2}
-_HEADER_FMT = "<qqddBq"  # N, n, delta, sigma2, ensemble code, seed
 
 
 @dataclass
@@ -29,8 +27,6 @@ class Instance:
     y: np.ndarray
     seed: int
     ensemble: str
-    delta: float
-    sigma2: float
 
     @property
     def n(self):
@@ -70,8 +66,7 @@ def generate(params, N, ensemble, seed):
     else:
         A = (_stream(seed, "A").integers(0, 2, (n, N)) * 2.0 - 1.0) / np.sqrt(n)
     y = A @ x0 + w
-    return Instance(A=A, x0=x0, w=w, y=y, seed=seed, ensemble=ensemble,
-                    delta=float(params.delta), sigma2=float(params.sigma2))
+    return Instance(A=A, x0=x0, w=w, y=y, seed=seed, ensemble=ensemble)
 
 
 def singular_edge_check(A, delta):
@@ -101,38 +96,3 @@ def singular_edge_check(A, delta):
         passed = bool(ok_hi and ok_lo)
     return smax, smin, passed
 
-
-def save_instance(instance, path):
-    """Persist to the binary container: fixed header, then A, x0, w as
-    row-major little-endian float64."""
-    code = ENSEMBLES.index(instance.ensemble)
-    header = struct.pack(_HEADER_FMT, instance.N, instance.n, instance.delta,
-                         instance.sigma2, code, instance.seed)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(instance.A, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(instance.x0, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(instance.w, dtype="<f8").tobytes())
-
-
-def load_instance(path):
-    """Read a container written by save_instance; y is recomputed as A x0 + w."""
-    hsize = struct.calcsize(_HEADER_FMT)
-    with open(path, "rb") as fh:
-        raw = fh.read(hsize)
-        if len(raw) != hsize:
-            raise ValueError(f"container header has {len(raw)} bytes, expected {hsize}")
-        N, n, delta, sigma2, code, seed = struct.unpack(_HEADER_FMT, raw)
-        body = fh.read()
-    if not (0 <= code < len(ENSEMBLES)) or N <= 0 or n <= 0:
-        raise ValueError("container header is not valid")
-    positive_float(delta, "container header delta")
-    positive_float(sigma2, "container header sigma2")
-    expected = 8 * (n * N + N + n)
-    if len(body) != expected:
-        raise ValueError(f"container body has {len(body)} bytes, expected {expected}")
-    A = np.frombuffer(body[: 8 * n * N], dtype="<f8").reshape(n, N).copy()
-    x0 = np.frombuffer(body[8 * n * N: 8 * (n * N + N)], dtype="<f8").copy()
-    w = np.frombuffer(body[8 * (n * N + N):], dtype="<f8").copy()
-    return Instance(A=A, x0=x0, w=w, y=A @ x0 + w, seed=seed,
-                    ensemble=ENSEMBLES[code], delta=delta, sigma2=sigma2)

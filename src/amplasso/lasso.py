@@ -15,7 +15,8 @@ support was right, since its cost is no higher, and the check that ends the
 block, computed from a fresh gradient at a FISTA iterate, decides. Every
 conjugate-gradient step, like every FISTA step, costs one product with A and
 one with A^T, and both kinds count as iterations under one cap, so a solve
-of k iterations makes 2k products plus one per check.
+of k iterations makes 2k products, plus one per check and one for the
+returned image.
 
 The step is 1/L for a curvature estimate L that needs no spectral norm
 (the local test of Beck & Teboulle 2009, kept without retries). L starts at
@@ -62,35 +63,21 @@ class LassoSolution:
     converged: bool
 
 
-def lasso_cost(A, y, x, lam):
-    """C(x) = 0.5 ||y - A x||^2 + lambda ||x||_1."""
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if A.shape[0] != y.shape[0] or A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: A {A.shape}, y {y.shape}, x {x.shape}")
-    return _cost(y - A @ x, x, lam)
-
-
 def _cost(r, x, lam):
-    """C(x) given the residual r = y - A x."""
+    """C(x) = 0.5 ||y - A x||^2 + lambda ||x||_1, given the residual r = y - A x."""
     return float(0.5 * np.dot(r, r) + lam * np.sum(np.abs(x)))
 
 
 def _kkt_violation(g, x, lam):
-    """kkt_residual given g = A^T (y - A x), so a caller holding g needs no product."""
+    """Maximum violation of the optimality conditions at x, the KKT residual.
+
+    With g = A^T (y - A x), which a caller holding it needs no product for:
+    off the support, max(0, ||g||_inf - lambda); on the support,
+    max |g_i - lambda sign(x_i)|. Zero iff x is optimal; NaN if g or x holds
+    a NaN, so no tolerance certifies such an x.
+    """
     worst = np.where(x != 0.0, np.abs(g - lam * np.sign(x)), np.abs(g) - lam)
     return float(np.max(worst, initial=0.0))
-
-
-def kkt_residual(A, y, x, lam):
-    """Maximum violation of the optimality conditions at x.
-
-    With g = A^T (y - A x): off the support, max(0, ||g||_inf - lambda);
-    on the support, max |g_i - lambda sign(x_i)|. Zero iff x is optimal;
-    NaN if g or x holds a NaN, so no tolerance certifies such an x.
-    """
-    return _kkt_violation(A.T @ (y - A @ x), x, lam)
 
 
 def spectral_norm(A):

@@ -27,7 +27,7 @@ def overflowing_instance(y=1.0):
     """A = [[1e200]]: a step whose threshold lets x off zero makes z or the
     next pre-threshold vector overflow."""
     return Instance(A=np.array([[1e200]]), x0=np.zeros(1), w=np.zeros(1), y=np.array([y]),
-                    seed=0, ensemble="gaussian", delta=1.0, sigma2=0.2)
+                    seed=0, ensemble="gaussian")
 
 
 def poison_row(monkeypatch, doomed, value):

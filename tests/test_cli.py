@@ -12,9 +12,6 @@ import amplasso.cli as cli
 import amplasso.experiments as exps
 from amplasso.errors import ConvergenceError
 from amplasso.experiments import ExperimentRecord
-from amplasso.instances import generate, save_instance
-from amplasso.state_evolution import SEParams
-from amplasso.scalars import get_preset
 
 
 SMALL = {
@@ -172,7 +169,7 @@ def test_malformed_config_rejected_before_output(tmp_path, capsys, command, text
 
 
 @pytest.mark.parametrize("argv", [
-    ["sweep"], ["se-curves"], ["min-lambda"],
+    ["sweep"], ["se-curves"], ["min-lambda"], ["check-instance"],
     ["min-lambda", "--config", "cfg.json", "--out", "run"],
     ["min-lambda", "--config", "cfg.json", "--seed-base", "1"],
     ["se-curves", "--config", "cfg.json", "--seed-base", "1"],
@@ -196,11 +193,6 @@ def test_negative_seed_base_rejected_by_parser(tmp_path, capsys, command):
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == "" and "--seed-base" in captured.err
-
-
-def test_check_instance_requires_config_or_file(capsys):
-    assert cli.main(["check-instance"]) == 2
-    assert "--config or --file" in capsys.readouterr().err
 
 
 def test_unconverged_reference_solve_exit_code(tmp_path):
@@ -281,18 +273,31 @@ def test_min_lambda_theory_failure_exits_three(tmp_path, capsys):
 
 def test_se_curves_theory_failure_exits_three(tmp_path, capsys, monkeypatch):
     # a fixed point just above alpha_min takes seconds to exhaust its cap; stand in for it
+    real = exps.fixed_point
+    message = ("state-evolution fixed point did not converge in 100000 iterations "
+               "(alpha=0.2671558256)")
+
     def stalled(params, alpha, tau2_init=None):
-        raise ConvergenceError(f"state-evolution fixed point did not converge in 100000 "
-                               f"iterations (alpha={alpha})")
+        if alpha == 0.2671558256:
+            raise ConvergenceError(message)
+        return real(params, alpha, tau2_init)
 
     monkeypatch.setattr(exps, "fixed_point", stalled)
-    cfg = small_config(tmp_path, alpha_grid=[0.2671558256])
+    cfg = small_config(tmp_path, alpha_grid=[0.2671558256, 2.0])
     out = tmp_path / "curves"
     assert cli.main(["se-curves", "--config", cfg, "--out", str(out)]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and list(out.iterdir()) == []
-    assert captured.err == ("error: ConvergenceError: state-evolution fixed point did not "
-                            "converge in 100000 iterations (alpha=0.2671558256)\n")
+    assert captured.out.count("wrote ") == 3
+    warning, error = captured.err.splitlines()
+    assert warning.startswith("warning: 1 alpha values were dropped")
+    assert error == f"error: ConvergenceError: {message}"
+    # the stalled alpha is a flagged row, the other one is filled in
+    for name in ("tau_star.csv", "lambda_of_alpha.csv"):
+        _, stalled_row, kept = (out / name).read_text().splitlines()
+        assert stalled_row == f"0.2671558256,nan,ConvergenceError: {message}; dropped"
+        alpha, value, flag = kept.split(",")
+        assert alpha == "2.0" and float(value) > 0 and flag == ""
+    assert len((out / "f_map.csv").read_text().splitlines()) > 1
 
 
 def test_min_lambda_default_bracket(tmp_path, capsys):
@@ -308,26 +313,17 @@ def test_check_instance_generated(tmp_path, capsys):
     assert "column norms" in text and "pass" in text
 
 
-def test_check_instance_from_file(tmp_path, capsys):
-    params = SEParams(delta=0.64, sigma2=0.2, prior=get_preset("three_point_0.064"))
-    inst = generate(params, 400, "gaussian", 5)
-    path = tmp_path / "inst.npz"
-    save_instance(inst, path)
-    cfg = small_config(tmp_path)
-    assert cli.main(["check-instance", "--config", cfg, "--file", str(path)]) == 0
-    assert "pass" in capsys.readouterr().out
-
-
-def test_check_instance_bad_file(tmp_path):
-    path = tmp_path / "junk.npz"
-    path.write_bytes(b"\x00" * 8)
-    cfg = small_config(tmp_path)
-    assert cli.main(["check-instance", "--config", cfg, "--file", str(path)]) == 2
-
-
 def test_unknown_subcommand_exits_two(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+def test_every_exported_name_resolves_and_no_test_oracle_is_exported():
+    for name in amplasso.__all__:
+        assert getattr(amplasso, name) is not None, name
+    gone = {"save_instance", "load_instance", "lasso_cost", "kkt_residual"}
+    assert not gone & set(amplasso.__all__)
+    assert not any(hasattr(amplasso, name) for name in gone)
 
 
 NO_SCIPY_SCRIPT = """
