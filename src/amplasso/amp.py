@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, DivergenceError
-from .scalars import integer_at_least, one_of, positive_float, soft_threshold
+from .scalars import integer_at_least, nonnegative_float, one_of, positive_float, soft_threshold
 from .state_evolution import invert_calibration, se_sequence
 
 THRESHOLD_POLICIES = ("se", "residual")
@@ -173,12 +173,13 @@ def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
         of AmpDiagnostics), or the exception that stopped the row.
 
     Raises:
-        ValueError: unknown policy, t_max not an integer or below 1, a
-            penalty or an alpha that is not finite and positive, or alphas
-            that do not match lams.
+        ValueError: unknown policy, t_max not an integer or below 1,
+            stop_tol negative or not finite, a penalty or an alpha that is
+            not finite and positive, or alphas that do not match lams.
     """
     one_of(threshold_policy, THRESHOLD_POLICIES, "threshold_policy")
     integer_at_least(t_max, 1, "t_max")
+    nonnegative_float(stop_tol, "stop_tol")
     if len(alphas) != len(lams):
         raise ValueError(f"{len(lams)} penalties and {len(alphas)} alphas")
     for lam, alpha in zip(lams, alphas):
@@ -224,7 +225,7 @@ def run_amp_grid(instance, params, lams, alphas, t_max=200, stop_tol=1e-8,
                                     np.count_nonzero(abs_v >= 1.0 - _ACTIVE_GAMMA, axis=1))
             # never on the first step: its threshold comes from alpha, not
             # from lam, so x_1 = 0 = x_0 says nothing about the minimiser
-            stop = (delta_x <= stop_tol) & (t > 1) | (t == t_max)
+            stop = (delta_x < stop_tol) & (t > 1) | (t == t_max)
         lam_v = lam[:, None] * v
         keep = finite & consistent & ~stop
         for i in np.flatnonzero(~keep):
@@ -268,11 +269,13 @@ def run_amp(instance, params, lam, t_max=200, stop_tol=1e-8, threshold_policy="s
     penalty theta * (1 - b), which differs from lam by O(N^{-1/2})). The
     asymptotic theory is proved for the SE policy only; the residual variant
     is the choice when comparing against the per-instance optimum. Stops at
-    t_max, or when ||x_new - x|| / sqrt(N) drops to stop_tol at any step
-    after the first (the first threshold is not matched to lam, so a first
-    step that leaves x = 0 proves nothing). The subgradient column is produced with no extra
-    matrix products by reusing each step's A^T z (one extra product at the
-    final iterate only), so a run of t steps makes 2t + 1 products.
+    t_max, or when ||x_new - x|| / sqrt(N) drops below stop_tol, a finite
+    number of at least 0, at any step after the first (the first threshold
+    is not matched to lam, so a first step that leaves x = 0 proves
+    nothing); stop_tol = 0 runs to t_max, also through an exact plateau.
+    The subgradient column is produced with no extra matrix products by
+    reusing each step's A^T z (one extra product at the final iterate only),
+    so a run of t steps makes 2t + 1 products.
 
     Diagnostics row t describes the state after step t. Its tau2_se is
     tau_t^2 of state_evolution.se_sequence at alpha under either policy, and

@@ -43,7 +43,8 @@ from .amp import THRESHOLD_POLICIES, run_amp_grid
 from .errors import ConvergenceError
 from .instances import ENSEMBLES, generate, row_count
 from .lasso import solve_lasso
-from .scalars import Prior, _mse_slope, finite_float, integer_at_least, one_of, positive_float
+from .scalars import (Prior, _mse_slope, finite_float, integer_at_least, nonnegative_float,
+                      one_of, positive_float)
 from .state_evolution import (SEParams, _brent_root, alpha_min, calibrate_lambda, fixed_point,
                               predicted_risk, se_map)
 
@@ -73,13 +74,6 @@ def _list(item, distinct=False, optional=False):
 
 def _prior(value):
     return value if isinstance(value, Prior) else Prior.from_json(value)
-
-
-def _nonnegative_float(value):
-    value = finite_float(value)
-    if value < 0:
-        raise ValueError(f"expected a nonnegative number, got {value!r}")
-    return value
 
 
 def _bracket(bracket):
@@ -112,7 +106,7 @@ class ExperimentConfig:
     seeds: tuple = _key(_list(lambda v: integer_at_least(v, 0, "seed"), distinct=True))
     ensemble: str = _key(lambda v: one_of(v, ENSEMBLES, "ensemble"), default="gaussian")
     amp_t_max: int = _key(lambda v: integer_at_least(v, 1, "t_max"), default=200)
-    amp_stop_tol: float = _key(finite_float, default=1e-8)
+    amp_stop_tol: float = _key(lambda v: nonnegative_float(v, "stop_tol"), default=1e-8)
     amp_policy: str = _key(lambda v: one_of(v, THRESHOLD_POLICIES, "threshold_policy"),
                            default="residual")
     lasso_tol: float = _key(lambda v: positive_float(v, "tol"), default=1e-8)
@@ -122,7 +116,7 @@ class ExperimentConfig:
     alpha_grid: tuple | None = _key(_list(finite_float, optional=True), default=None)
     tau2_grid: tuple | None = _key(_list(lambda v: positive_float(v, "tau2"), optional=True),
                                    default=None)
-    f_map_alpha: float = _key(_nonnegative_float, default=2.0)
+    f_map_alpha: float = _key(lambda v: nonnegative_float(v, "f_map_alpha"), default=2.0)
     lambda_bracket: tuple = _key(lambda v: _bracket(_list(finite_float)(v)), default=(0.05, 2.0))
 
     def __post_init__(self):

@@ -97,6 +97,13 @@ def positive_float(value, name):
     return float(value)
 
 
+def nonnegative_float(value, name):
+    """`value` as a float if finite_float takes it and it is at least 0, else a ValueError naming `name`."""
+    if not (_number(value, numbers.Real) and 0 <= value < math.inf):
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+    return float(value)
+
+
 def integer_at_least(value, k, name):
     """`value` as an int if it is an integral non-boolean number (2.0 is not) of at least k, else a ValueError naming `name`."""
     if not (_number(value, numbers.Integral) and value >= k):

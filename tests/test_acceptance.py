@@ -71,10 +71,10 @@ def gaussian_cells(predictions):
         inst = generate(PARAMS, N_CELLS, "gaussian", seed)
         sols = [solve_lasso(inst.A, inst.y, lam, tol=1e-8) for lam in LAMBDAS]
         assert all(sol.converged for sol in sols)
-        # negative stop_tol disables the iterate-change stop, so every row
-        # runs the full 100 steps even after an exact plateau
+        # stop_tol = 0 disables the iterate-change stop, so every row runs
+        # the full 100 steps even after an exact plateau
         finals, diag_rows = zip(*run_amp_grid(inst, PARAMS, LAMBDAS, alphas, t_max=100,
-                                              stop_tol=-1.0, threshold_policy="residual"))
+                                              stop_tol=0.0, threshold_policy="residual"))
         # the whole stack replayed with its recorded thresholds repeats the
         # run bit for bit; its near-boundary sets for t = 30 .. 100
         state = initial_state(inst.y, N_CELLS, rows=len(LAMBDAS))
@@ -160,7 +160,7 @@ def test_criterion_04_state_evolution_tracking():
     theta = tau2 = None
     for seed in SEEDS:
         inst = generate(PARAMS, N_CELLS, "gaussian", seed)
-        _, diags = run_amp(inst, PARAMS, lam, t_max=t_max, stop_tol=-1.0,
+        _, diags = run_amp(inst, PARAMS, lam, t_max=t_max, stop_tol=0.0,
                            threshold_policy="se")
         assert diags[0].t == 1 and diags[-1].t == t_max
         z_runs.append([d.z_norm2_over_n for d in diags])

@@ -190,7 +190,7 @@ class TestRunAmp:
         # longer run computes only its steps past the first run, a shorter none
         for t_max in (state.t + 5, 3):
             ((_, other),) = run_amp_grid(tiny_instance(7, N=400), FIG4, [1.0], [alpha],
-                                         t_max=t_max, stop_tol=-1.0)
+                                         t_max=t_max, stop_tol=0.0)
             assert len(other) == t_max and len(calls) == state.t + 5
             common = min(t_max, state.t)
             assert [row.tau2_se for row in other[:common]] == [row.tau2_se for row in diag[:common]]
@@ -202,7 +202,7 @@ class TestRunAmp:
         calls.clear()
         t_max = max(stored) + 3
         run_amp_grid(tiny_instance(8, N=400), FIG4, [0.7, 1.3], alphas, t_max=t_max,
-                     stop_tol=-1.0)
+                     stop_tol=0.0)
         assert min(stored) > 2 and len(calls) == sum(t_max + 1 - s for s in stored)
 
     @pytest.mark.parametrize("policy", ["se", "residual"])
@@ -385,26 +385,40 @@ class TestRunAmpGrid:
         assert CountingArray.products == 2
         assert run_amp_grid(inst, FIG4, (), (), t_max=5) == []
 
+    def test_zero_stop_tol_runs_through_an_exact_plateau(self):
+        # y = 0 keeps x = 0, so every step after the first has delta x = 0
+        inst = tiny_instance(17, N=100)
+        inst.y[:] = 0.0
+        for stop_tol, steps in ((1e-8, 2), (0.0, 7)):
+            ((state, diag),) = run_amp_grid(inst, FIG4, [1.0], [2.0], t_max=7, stop_tol=stop_tol)
+            assert state.t == len(diag) == steps
+            assert all(row.delta_x_norm == 0.0 for row in diag)
+
     def test_invalid_arguments(self):
         inst = tiny_instance(17, N=100)
         # a t_max that is not an integer would never equal the step count
         for bad, name in ((dict(alphas=[2.0]), "alphas"), (dict(alphas=[2.0, math.nan]), "alpha"),
                           (dict(t_max=0), "t_max"), (dict(t_max=2.5), "t_max"),
-                          (dict(t_max=math.inf), "t_max"), (dict(t_max=True), "t_max")):
-            args = {"lams": GRID[:2], "alphas": [2.0, 2.0], "stop_tol": -1.0, **bad}
+                          (dict(t_max=math.inf), "t_max"), (dict(t_max=True), "t_max"),
+                          # a negative or NaN stop_tol would silently run every row to t_max
+                          (dict(stop_tol=-1.0), "stop_tol"), (dict(stop_tol=math.nan), "stop_tol"),
+                          (dict(stop_tol=math.inf), "stop_tol"), (dict(stop_tol="0"), "stop_tol")):
+            args = {"lams": GRID[:2], "alphas": [2.0, 2.0], "stop_tol": 0.0, **bad}
             with pytest.raises(ValueError, match=rf"\b{name}\b"):
                 run_amp_grid(inst, FIG4, **args)
         with pytest.raises(ValueError, match="integer"):
-            run_amp(inst, FIG4, 1.0, t_max=2.5, stop_tol=-1.0)
+            run_amp(inst, FIG4, 1.0, t_max=2.5, stop_tol=0.0)
+        with pytest.raises(ValueError, match=r"\bstop_tol\b"):
+            run_amp(inst, FIG4, 1.0, stop_tol=-1.0)
 
     @pytest.mark.parametrize("policy", ["se", "residual"])
     def test_replay_with_recorded_thresholds_repeats_the_stack(self, policy):
-        # with stop_tol < 0 every row runs to t_max, so amp_step on the whole
+        # with stop_tol = 0 every row runs to t_max, so amp_step on the whole
         # stack with each row's recorded thresholds repeats the run bit for
         # bit: that is how a caller recovers the near-boundary sets
         inst = tiny_instance(9, N=200)
         alphas = [invert_calibration(FIG4, lam) for lam in GRID]
-        runs = run_amp_grid(inst, FIG4, GRID, alphas, t_max=12, stop_tol=-1.0,
+        runs = run_amp_grid(inst, FIG4, GRID, alphas, t_max=12, stop_tol=0.0,
                             threshold_policy=policy)
         state = initial_state(inst.y, 200, rows=len(GRID))
         for t in range(12):

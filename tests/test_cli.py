@@ -144,6 +144,7 @@ MALFORMED = [
     _malformed("lambda_grid-infinity", "lambda_grid", {**SMALL, "lambda_grid": [INF]}),
     _malformed("seeds-negative", "seeds", {**SMALL, "seeds": [-1]}),
     _malformed("amp_stop_tol-nan", "amp_stop_tol", {**SMALL, "amp_stop_tol": NAN}),
+    _malformed("amp_stop_tol-negative", "amp_stop_tol", {**SMALL, "amp_stop_tol": -1.0}),
     _malformed("tau2_grid-infinity", "tau2_grid", {**SMALL, "tau2_grid": [INF]}),
     _malformed("f_map_alpha-infinity", "f_map_alpha", {**SMALL, "f_map_alpha": INF}),
     _malformed("lambda_bracket-reversed", "lambda_bracket", {**SMALL, "lambda_bracket": [2.0, 0.5]}),

@@ -77,7 +77,8 @@ class TestConfig:
         {"prior": {"atoms": ["-1", 0, True], "weights": [0.064, 0.872, 0.064]}},
         {"prior": {"atoms": [-1.0, 0.0, 1.0], "weights": [0.064, NAN, 0.064]}},
         {"alpha_grid": (NAN,)}, {"lambda_grid": (INF,)}, {"seeds": (-1,)},
-        {"amp_stop_tol": NAN}, {"tau2_grid": (INF,)}, {"f_map_alpha": INF},
+        {"amp_stop_tol": NAN}, {"amp_stop_tol": -1.0}, {"tau2_grid": (INF,)},
+        {"f_map_alpha": INF},
         {"lambda_bracket": (2.0, 0.5)}, {"alpha_grid": ()}, {"tau2_grid": ()},
         {"lambda_grid": (1.0, 1.0, 2.0)}, {"N_list": (120, 120)}, {"seeds": (0, 0)},
         {"delta": 0.2, "N_list": (2,)},
@@ -117,6 +118,9 @@ class TestConfig:
                      lambda: generate(FIG4, 20, "toeplitz", 0), id="ensemble"),
         pytest.param("tau2_grid", {"tau2_grid": [0.0]}, lambda: se_map(FIG4, 0.0, 1.0),
                      id="tau2"),
+        pytest.param("amp_stop_tol", {"amp_stop_tol": -1.0}, lambda: run_amp_grid(
+            generate(FIG4, 20, "gaussian", 0), FIG4, [1.0], [1.0], stop_tol=-1.0),
+            id="stop_tol"),
     ])
     def test_config_error_reads_as_the_library_error(self, key, patch, library_call):
         # each key is checked by the rule of the entry point it feeds, under the same name

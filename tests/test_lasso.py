@@ -55,16 +55,28 @@ def small_instance(seed, n=8, N=10, k=3):
 
 @pytest.fixture
 def finishes(monkeypatch):
-    """(signs, budget, x, steps, settled) of every conjugate-gradient finish solve_lasso runs."""
-    log = []
+    """(signs, budget, x, steps, settled) of every conjugate-gradient finish solve_lasso runs.
+
+    The finish sees the working set's coordinates, the column prefix the
+    solve has moved to the front of A; signs and x are mapped back to A's
+    own columns.
+    """
+    log, fronts = [], []
     real = lasso._cg_finish
+
+    class Recorded(lasso._Front):
+        def __init__(self, A):
+            super().__init__(A)
+            fronts.append(self)
 
     def record(A, lam, tol, x, Ax, g, signs, budget):
         out = real(A, lam, tol, x, Ax, g, signs, budget)
         x_out, _, steps, settled = out
-        log.append((signs, budget, x_out, steps, settled))
+        front = fronts[-1]
+        log.append((front.scatter(signs), budget, front.scatter(x_out), steps, settled))
         return out
 
+    monkeypatch.setattr(lasso, "_Front", Recorded)
     monkeypatch.setattr(lasso, "_cg_finish", record)
     return log
 
@@ -192,9 +204,11 @@ class TestStepEstimate:
         CountingArray.products = 0
         sol = solve_lasso(A.view(CountingArray), y, 0.05, tol=1e-11, max_iter=max_iter)
         assert sol.converged == (max_iter == 50_000) == (sol.iterations < max_iter)
+        # A^T y at 0 is both the first step's gradient and the working set's
+        # first violators, and the final certificate is a check plus the image
         assert CountingArray.products == 2 * sol.iterations + len(checks) + 1
-        # one check per 10 steps, and one at the cap
-        assert len(checks) == sol.iterations // 10 + (sol.iterations % 10 != 0)
+        # one check per 10 steps, one at the cap, and the final certificate
+        assert len(checks) == sol.iterations // 10 + (sol.iterations % 10 != 0) + 1
         if max_iter == 50_000:
             assert sum(steps for *_, steps, _ in finishes) > 0
 
@@ -263,10 +277,12 @@ class TestWarmStart:
         for start in (None, solve_lasso(A, y, 0.1)):
             sol = solve_lasso(A, y, 0.05, start=start)
             assert np.array_equal(sol.image, A @ sol.x_hat)
+            assert np.array_equal(sol.gradient, A.T @ (y - sol.image))
             assert sol.cost == lasso_cost(A, y, sol.x_hat, 0.05)
 
     def test_products_two_per_step_one_per_check(self, monkeypatch, finishes):
-        # the start brings its image, so it costs no product
+        # the start brings its image and its gradient, so it costs no product,
+        # and its first step needs no product for its gradient
         monkeypatch.setattr(lasso, "np", _KeepSubclass())
         checks = []
         real = lasso._kkt_violation
@@ -279,8 +295,8 @@ class TestWarmStart:
         CountingArray.products = 0
         sol = solve_lasso(A.view(CountingArray), y, 0.05, tol=1e-11, start=start)
         assert sol.converged and sol.iterations > 10
-        assert CountingArray.products == 2 * sol.iterations + len(checks) + 1
-        assert len(checks) == sol.iterations // 10
+        assert CountingArray.products == 2 * sol.iterations + len(checks)
+        assert len(checks) == sol.iterations // 10 + 1
         assert sum(steps for *_, steps, _ in finishes) > 0
 
     def test_finish_runs_from_the_first_failed_check(self, monkeypatch):
@@ -314,10 +330,87 @@ class TestWarmStart:
         start = solve_lasso(A, y, 0.1)
         for bad in (replace(start, x_hat=start.x_hat[:-1]),
                     replace(start, image=np.append(start.image, 0.0)),
+                    replace(start, gradient=start.gradient[:-1]),
                     solve_lasso(A[:, :30], y, 0.1),
                     solve_lasso(A[:15], y[:15], 0.1)):
             with pytest.raises(ValueError, match="start"):
                 solve_lasso(A, y, 0.05, start=bad)
+
+
+@pytest.fixture
+def moved(monkeypatch):
+    """The number of columns out of place at each restore of the working set."""
+    log = []
+    real = lasso._Front.restore
+
+    def record(front):
+        log.append(int(np.count_nonzero(front.order != np.arange(front.order.size))))
+        real(front)
+
+    monkeypatch.setattr(lasso._Front, "restore", record)
+    return log
+
+
+class TestMatrixLeftAsFound:
+    """The working set moves A's columns in place; every exit puts them back bit for bit."""
+
+    @pytest.mark.parametrize("max_iter", [50_000, 25])
+    def test_converged_and_capped_solves(self, moved, max_iter):
+        A, y = small_instance(2, n=20, N=40, k=5)
+        kept = A.copy()
+        start = solve_lasso(A, y, 0.1, tol=1e-11, max_iter=max_iter)
+        assert max(moved) > 0 and A.tobytes() == kept.tobytes()
+        moved.clear()
+        sol = solve_lasso(A, y, 0.05, tol=1e-11, max_iter=max_iter, start=start)
+        assert max(moved) > 0 and A.tobytes() == kept.tobytes()
+        assert sol.converged == (max_iter == 50_000)
+
+    def test_nan_data(self, moved):
+        A, y = small_instance(4, n=20, N=40, k=5)
+        A[:, 3] = np.nan
+        kept = A.copy()
+        sol = solve_lasso(A, y, 0.1)
+        assert not sol.converged and np.isnan(sol.kkt_residual) and sol.iterations == 10
+        assert moved[0] > 0 and A.tobytes() == kept.tobytes()
+
+    def test_finish_that_raises(self, monkeypatch):
+        A, y = small_instance(2, n=20, N=40, k=5)
+        kept = A.copy()
+        during = []
+
+        def boom(*args):
+            during.append(A.tobytes() != kept.tobytes())
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(lasso, "_cg_finish", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            solve_lasso(A, y, 0.05, tol=1e-11)
+        assert during == [True]  # the finish ran on moved columns
+        assert A.tobytes() == kept.tobytes()
+
+    def test_read_only_matrix_rejected_before_any_move(self, monkeypatch):
+        A, y = small_instance(2, n=20, N=40, k=5)
+        A.setflags(write=False)
+        calls = []
+        monkeypatch.setattr(lasso._Front, "append", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="writeable"):
+            solve_lasso(A, y, 0.05)
+        assert calls == []
+
+    def test_certificate_that_misses_tol_resumes_the_solve(self, monkeypatch, moved):
+        # the check before the certificate passes (here forced): the
+        # certificate, from fresh products on the restored A, decides
+        A, y = small_instance(2, n=20, N=40, k=5)
+        kept = A.copy()
+        checks = []
+        real = lasso._kkt_violation
+        monkeypatch.setattr(lasso, "_kkt_violation", lambda g, x, lam: checks.append(1) or (
+            0.0 if len(checks) == 1 else real(g, x, lam)))
+        sol = solve_lasso(A, y, 0.05, tol=1e-11)
+        assert sol.converged and sol.iterations > 10
+        assert_fresh_certificate(A, y, sol, 0.05, 1e-11)
+        # two passes, each on moved columns: before the certificate and after it
+        assert sum(count > 0 for count in moved) == 2 and A.tobytes() == kept.tobytes()
 
 
 class TestOptimalityStructure:
