@@ -21,9 +21,8 @@ from .instances import Instance, generate, singular_edge_check
 from .lasso import LassoSolution, solve_lasso, spectral_norm
 from .scalars import (Prior, cross_mse_functional, eta_prime_expectation,
                       get_preset, l1_expectation, mse_functional, soft_threshold)
-from .state_evolution import (PredictionBundle, SEParams, SETrajectory, TwoTimeCov,
-                              alpha_min, calibrate_lambda, fixed_point,
-                              invert_calibration, predicted_risk, se_derivative,
+from .state_evolution import (PredictionBundle, SEParams, alpha_min, calibrate_lambda,
+                              fixed_point, invert_calibration, predicted_risk, se_derivative,
                               se_map, se_sequence, two_time_recursion)
 
 __all__ = [
@@ -31,7 +30,7 @@ __all__ = [
     "AmplassoError", "ConsistencyError", "ConvergenceError", "DivergenceError",
     "Prior", "soft_threshold", "mse_functional",
     "eta_prime_expectation", "l1_expectation", "cross_mse_functional", "get_preset",
-    "SEParams", "SETrajectory", "TwoTimeCov", "PredictionBundle", "se_map", "se_sequence",
+    "SEParams", "PredictionBundle", "se_map", "se_sequence",
     "alpha_min", "fixed_point", "se_derivative", "calibrate_lambda",
     "invert_calibration", "predicted_risk", "two_time_recursion",
     "Instance", "generate", "singular_edge_check",

@@ -6,14 +6,7 @@ class AmplassoError(Exception):
 
 
 class ConvergenceError(AmplassoError):
-    """An iterative routine hit its iteration cap before meeting tolerance.
-
-    Carries the partial trajectory (list of iterates) when available.
-    """
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
+    """An iterative routine hit its iteration cap before meeting tolerance."""
 
 
 class DivergenceError(AmplassoError):

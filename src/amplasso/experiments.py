@@ -344,7 +344,7 @@ def dump_se_curves(params, alpha_grid=None, tau2_grid=None, f_map_alpha=2.0):
     for a in alpha_grid:
         a = float(a)
         try:
-            tau = math.sqrt(fixed_point(params, a).tau2_star)
+            tau = math.sqrt(fixed_point(params, a))
         except ValueError as exc:
             warning = f"{exc}; dropped"
         except ConvergenceError as exc:
@@ -408,7 +408,7 @@ def minimum_lambda(params, lambda_bracket):
         return best
 
     def slope(alpha):
-        tau = math.sqrt(fixed_point(params, alpha).tau2_star)
+        tau = math.sqrt(fixed_point(params, alpha))
         return _mse_slope(params.prior, tau, alpha * tau)
 
     a = bundles[max(k - 1, 0)].alpha

@@ -213,7 +213,7 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
     columns. The KKT residual is checked, by one product with A^T over all
     columns, when the step count reaches a multiple of 10, and at max_iter;
     a failed check appends its violators to W. When a check fails with the
-    same signed support S, s as the previous check and 0 < |S| < n, up to 9
+    same signed support S, s as the previous check and 0 < |S| <= n, up to 9
     conjugate-gradient steps on A_S^T A_S x_S = A_S^T y - lambda s start
     from the checked iterate, and FISTA continues from where they stop, so
     every check comes from a fresh gradient at a FISTA iterate. A signed
@@ -346,7 +346,7 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
             # a cold solve's support is transient until two checks agree; a warm
             # one starts at a neighbouring penalty's minimiser, so it is not
             if ((warm or np.array_equal(signs, signs_prev))
-                    and 0 < np.count_nonzero(signs) < n and signs.tobytes() not in settled):
+                    and 0 < np.count_nonzero(signs) <= n and signs.tobytes() not in settled):
                 # the block's last step stays a FISTA step, so the check that
                 # ends it sees an image A x computed directly
                 budget = min(_KKT_CHECK_EVERY - 1, max_iter - 1 - it)

@@ -6,14 +6,15 @@ recursion extend and read, so a run at a calibrated alpha reads the steps
 its calibration computed; the admissibility boundary alpha_min(delta), the
 penalty/threshold calibration in both directions, the asymptotic risk
 prediction, and the two-time covariance recursion used for convergence
-diagnostics.
+diagnostics. fixed_point returns the number tau*^2 and two_time_recursion
+its table R: the memo is the one trajectory.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,23 +59,6 @@ class SEParams:
     def tau2_init(self):
         """Starting point of the recursion: sigma^2 + E{X0^2}/delta."""
         return self.sigma2 + self.prior.second_moment / self.delta
-
-
-@dataclass
-class SETrajectory:
-    """A run of the recursion tau_{t+1}^2 = F(tau_t^2, alpha tau_t)."""
-
-    tau2_sequence: list
-    alpha: float
-    tau2_star: float
-
-
-@dataclass
-class TwoTimeCov:
-    """Covariance table R[s, t] of the effective noises at iteration pairs."""
-
-    R: np.ndarray
-    tau2_sequence: list = field(default_factory=list)
 
 
 def se_map(params, tau2, theta):
@@ -198,37 +182,32 @@ def _check_alpha(params, alpha):
                          "fixed point may not exist")
 
 
-def fixed_point(params, alpha, tau2_init=None):
-    """Iterate the monotone map tau^2 -> F(tau^2, alpha tau) to its fixed point.
+def fixed_point(params, alpha):
+    """tau*^2, the fixed point of the monotone map tau^2 -> F(tau^2, alpha tau).
 
-    Plain iteration from sigma^2 + E{X0^2}/delta (or a caller-supplied start)
-    until successive iterates agree to 1e-12 relative AND the residual
+    Plain iteration from sigma^2 + E{X0^2}/delta, extending se_sequence's
+    memo, until successive iterates agree to 1e-12 relative AND the residual
     |tau*^2 - F(tau*^2)| clears 1e-10 (tightened by 1/delta so the risk
     identity downstream holds at the same tolerance). Monotonicity of the
-    trajectory is asserted; the iteration cap is 1e5. From tau2_init the
-    iterates are se_sequence's memo; a caller's start gets a fresh list.
+    iterates is asserted; the iteration cap is 1e5. The iterates themselves
+    are se_sequence(params, alpha, T) for any T.
 
     Raises:
         ValueError: alpha not finite and above alpha_min(delta) (NaN
             included; below it the fixed point may not exist).
-        ConvergenceError: iteration cap reached (carries the partial trajectory).
+        ConvergenceError: iteration cap reached.
     """
     _check_alpha(params, alpha)
-    if tau2_init is None:
-        seq = _se_memo(params, alpha)
-    else:
-        seq = [positive_float(tau2_init, "tau2_init")]
+    seq = _se_memo(params, alpha)
     residual_tol = 1e-10 / max(1.0, params.delta)
     for t in range(1, _FP_MAX_ITER + 1):
         _extend(params, alpha, seq, t + 1)
         prev, cur, after = seq[t - 1:t + 2]
         if abs(cur - prev) <= _FP_REL_TOL * max(1.0, abs(prev)) and abs(after - cur) <= residual_tol:
             _assert_monotone(seq[:t + 1])
-            return SETrajectory(tau2_sequence=seq[:t + 1], alpha=alpha, tau2_star=cur)
+            return cur
     raise ConvergenceError(
-        f"state-evolution fixed point did not converge in {_FP_MAX_ITER} iterations (alpha={alpha})",
-        trajectory=seq[:_FP_MAX_ITER + 1],
-    )
+        f"state-evolution fixed point did not converge in {_FP_MAX_ITER} iterations (alpha={alpha})")
 
 
 def _assert_monotone(seq):
@@ -269,7 +248,7 @@ def calibrate_lambda(params, alpha):
 
     with tau* the fixed point at this alpha. Can be negative near alpha_min.
     """
-    tau = np.sqrt(fixed_point(params, alpha).tau2_star)
+    tau = np.sqrt(fixed_point(params, alpha))
     theta = alpha * tau
     return float(theta * (1.0 - eta_prime_expectation(params.prior, tau, theta) / params.delta))
 
@@ -342,7 +321,7 @@ def predicted_risk(params, lam):
     if params.prior.nonzero_mass <= 0.0:
         raise ValueError("predicted_risk requires P{X0 != 0} > 0")
     alpha = invert_calibration(params, lam)
-    tau2 = fixed_point(params, alpha).tau2_star
+    tau2 = fixed_point(params, alpha)
     tau = float(np.sqrt(tau2))
     theta = alpha * tau
     mse_direct = mse_functional(params.prior, tau, theta)
@@ -402,4 +381,4 @@ def two_time_recursion(params, alpha, T):
     eigs = np.linalg.eigvalsh(R)
     if eigs[0] < -1e-8 * float(R.diagonal().max()):
         raise ConsistencyError(f"two-time covariance has eigenvalue {eigs[0]:.3e} < 0 beyond tolerance")
-    return TwoTimeCov(R=R, tau2_sequence=tau2)
+    return R

@@ -49,6 +49,18 @@ def _draw_param_sets(seed, count):
     return out
 
 
+def _iterate_from(params, alpha, tau2, cap=10_000):
+    """tau_0^2 = tau2, tau_1^2, ... of the map, cut where fixed_point's stop rule holds."""
+    seq = [tau2, se_map(params, tau2, alpha * np.sqrt(tau2))]
+    residual_tol = 1e-10 / max(1.0, params.delta)
+    while len(seq) <= cap:
+        seq.append(se_map(params, seq[-1], alpha * np.sqrt(seq[-1])))
+        prev, cur, after = seq[-3:]
+        if abs(cur - prev) <= 1e-12 * max(1.0, abs(prev)) and abs(after - cur) <= residual_tol:
+            return seq[:-1]
+    raise AssertionError(f"no fixed point within {cap} steps from tau2={tau2}")
+
+
 @pytest.fixture(scope="session")
 def predictions():
     return {lam: predicted_risk(PARAMS, lam) for lam in LAMBDAS}
@@ -190,10 +202,10 @@ def test_criterion_05_risk_identity():
     for params in _draw_param_sets(11, 50):
         lam = float(rng.uniform(0.05, 3.0))
         alpha = invert_calibration(params, lam)
-        traj = fixed_point(params, alpha)
-        tau = float(np.sqrt(traj.tau2_star))
+        tau2_star = fixed_point(params, alpha)
+        tau = float(np.sqrt(tau2_star))
         direct = mse_functional(params.prior, tau, alpha * tau)
-        identity = params.delta * (traj.tau2_star - params.sigma2)
+        identity = params.delta * (tau2_star - params.sigma2)
         worst = max(worst, abs(direct - identity))
     ok = worst <= 1e-10
     _line(5, ok, f"direct expectation vs delta*(tau*^2 - sigma^2): worst "
@@ -259,15 +271,15 @@ def test_criterion_08_fixed_point_properties():
     for params, alpha in cases:
         base = fixed_point(params, alpha)
         for _ in range(10):
-            t20 = float(rng.uniform(0.005, 5.0 * base.tau2_star))
-            traj = fixed_point(params, alpha, tau2_init=t20)
-            diffs = np.diff(traj.tau2_sequence)
+            t20 = float(rng.uniform(0.005, 5.0 * base))
+            traj = _iterate_from(params, alpha, t20)
+            diffs = np.diff(traj)
             assert np.all(diffs >= -1e-13) or np.all(diffs <= 1e-13)
-            assert abs(traj.tau2_star - base.tau2_star) <= 1e-9 * base.tau2_star
-        grid = np.linspace(0.02, 3.0 * base.tau2_star, 60)
+            assert abs(traj[-1] - base) <= 1e-9 * base
+        grid = np.linspace(0.02, 3.0 * base, 60)
         f_vals = np.array([se_map(params, t2, alpha * np.sqrt(t2)) for t2 in grid])
         worst_curv = max(worst_curv, float(np.diff(f_vals, 2).max()))
-        d = se_derivative(params, base.tau2_star, alpha)
+        d = se_derivative(params, base, alpha)
         assert 0.0 <= d < 1.0
         worst_deriv = max(worst_deriv, d)
     ok = worst_curv <= 1e-10
@@ -282,16 +294,16 @@ def test_criterion_09_two_time_recursion():
     # above the quadrature noise floor through t=50
     alpha = invert_calibration(PARAMS, 0.2)
     T = 51
-    tt = two_time_recursion(PARAMS, alpha, T)
+    R = two_time_recursion(PARAMS, alpha, T)
     tau2 = PARAMS.sigma2 + PARAMS.prior.second_moment / PARAMS.delta
     one_dim = [tau2]
     for _ in range(T):
         tau2 = se_map(PARAMS, tau2, alpha * np.sqrt(tau2))
         one_dim.append(tau2)
-    diag_gap = float(np.max(np.abs(np.diag(tt.R) - np.array(one_dim))))
-    t2_star = fixed_point(PARAMS, alpha).tau2_star
+    diag_gap = float(np.max(np.abs(np.diag(R) - np.array(one_dim))))
+    t2_star = fixed_point(PARAMS, alpha)
     ts = np.arange(5, 51)
-    gaps = np.array([abs(tt.R[t, t + 1] - t2_star) for t in ts])
+    gaps = np.array([abs(R[t, t + 1] - t2_star) for t in ts])
     assert np.all(gaps > 0)
     slope, _ = np.polyfit(ts, np.log(gaps), 1)
     r = float(np.corrcoef(ts, np.log(gaps))[0, 1])

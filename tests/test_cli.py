@@ -278,10 +278,10 @@ def test_se_curves_theory_failure_exits_three(tmp_path, capsys, monkeypatch):
     message = ("state-evolution fixed point did not converge in 100000 iterations "
                "(alpha=0.2671558256)")
 
-    def stalled(params, alpha, tau2_init=None):
+    def stalled(params, alpha):
         if alpha == 0.2671558256:
             raise ConvergenceError(message)
-        return real(params, alpha, tau2_init)
+        return real(params, alpha)
 
     monkeypatch.setattr(exps, "fixed_point", stalled)
     cfg = small_config(tmp_path, alpha_grid=[0.2671558256, 2.0])
@@ -322,7 +322,8 @@ def test_unknown_subcommand_exits_two(tmp_path):
 def test_every_exported_name_resolves_and_no_test_oracle_is_exported():
     for name in amplasso.__all__:
         assert getattr(amplasso, name) is not None, name
-    gone = {"save_instance", "load_instance", "lasso_cost", "kkt_residual"}
+    gone = {"save_instance", "load_instance", "lasso_cost", "kkt_residual",
+            "SETrajectory", "TwoTimeCov"}
     assert not gone & set(amplasso.__all__)
     assert not any(hasattr(amplasso, name) for name in gone)
 

@@ -365,7 +365,7 @@ class TestCsvOutput:
 class TestCurves:
     def test_f_map_concave_single_crossing(self):
         alpha = 2.0
-        t2_star = fixed_point(FIG4, alpha).tau2_star
+        t2_star = fixed_point(FIG4, alpha)
         grid = np.linspace(0.05, 2.0 * t2_star, 60)
         tables = dump_se_curves(FIG4, alpha_grid=np.array([1.0]), tau2_grid=grid,
                                 f_map_alpha=alpha)

@@ -124,6 +124,22 @@ class TestConjugateGradientFinish:
         assert_fresh_certificate(A, y, sol, lam, tol)
         assert np.max(np.abs(sol.x_hat - coordinate_descent(A, y, lam))) < 1e-8
 
+    # the seeds of 240-299 whose minimiser at lambda = 0.02 fills all n = 8
+    # rows; the step bound is set from the eight such seeds of 200-239
+    # (worst 140 steps), which took 200-3430 steps without the square finish
+    @pytest.mark.parametrize("seed", [253, 260, 264, 271, 277, 280, 287, 292])
+    def test_square_support_is_finished(self, finishes, seed):
+        A, y = small_instance(seed)
+        lam, tol = 0.02, 1e-11
+        sol = solve_lasso(A, y, lam, tol=tol)
+        signs = np.sign(sol.x_hat)
+        assert np.count_nonzero(signs) == A.shape[0]
+        assert any(settled and np.array_equal(s, signs) for s, _, _, _, settled in finishes)
+        assert sol.converged
+        assert_fresh_certificate(A, y, sol, lam, tol)
+        assert np.max(np.abs(sol.x_hat - coordinate_descent(A, y, lam))) < 1e-8
+        assert sol.iterations <= 200
+
     def test_finish_on_a_wrong_support_settles_off_the_minimiser(self):
         A, y = small_instance(0, n=20, N=40, k=5)
         lam, tol = 0.05, 1e-10

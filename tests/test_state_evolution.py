@@ -46,6 +46,18 @@ def bisect_alpha_min(delta, lo=0.0, hi=16.0, iters=200):
     return 0.5 * (lo + hi)
 
 
+def iterate_from(params, alpha, tau2, cap=10_000):
+    """tau_0^2 = tau2, tau_1^2, ... of the map, cut where fixed_point's stop rule holds."""
+    seq = [tau2, se_map(params, tau2, alpha * np.sqrt(tau2))]
+    residual_tol = 1e-10 / max(1.0, params.delta)
+    while len(seq) <= cap:
+        seq.append(se_map(params, seq[-1], alpha * np.sqrt(seq[-1])))
+        prev, cur, after = seq[-3:]
+        if abs(cur - prev) <= 1e-12 * max(1.0, abs(prev)) and abs(after - cur) <= residual_tol:
+            return seq[:-1]
+    raise AssertionError(f"no fixed point within {cap} steps from tau2={tau2}")
+
+
 def bisect_fixed_point(params, alpha, iters=200):
     """Bisection oracle for the tau^2 fixed point, independent of the iteration."""
     def h(t2):
@@ -130,19 +142,19 @@ class TestBrentRoot:
 class TestFixedPoint:
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
     def test_matches_bisection_oracle(self, alpha):
-        got = fixed_point(FIG4, alpha).tau2_star
+        got = fixed_point(FIG4, alpha)
         assert_allclose(got, bisect_fixed_point(FIG4, alpha), rtol=1e-9)
 
     def test_residual_is_tiny(self):
-        tau2 = fixed_point(FIG4, 2.0).tau2_star
+        tau2 = fixed_point(FIG4, 2.0)
         assert abs(se_map(FIG4, tau2, 2.0 * math.sqrt(tau2)) - tau2) < 1e-10
 
     def test_monotone_from_random_initializations(self):
         rng = np.random.default_rng(17)
-        tau2_star = fixed_point(FIG4, 2.0).tau2_star
+        tau2_star = fixed_point(FIG4, 2.0)
         for _ in range(10):
             init = float(rng.uniform(0.25, 4.0)) * tau2_star
-            traj = fixed_point(FIG4, 2.0, tau2_init=init).tau2_sequence
+            traj = iterate_from(FIG4, 2.0, init)
             diffs = np.diff(traj)
             assert np.all(diffs <= 1e-12) or np.all(diffs >= -1e-12)
             assert_allclose(traj[-1], tau2_star, rtol=1e-8)
@@ -161,7 +173,7 @@ class TestFixedPoint:
     def test_derivative_at_fixed_point_is_contractive(self):
         for lam in (0.2, 0.6, 1.0, 1.6, 2.0):
             alpha = invert_calibration(FIG4, lam)
-            tau2 = fixed_point(FIG4, alpha).tau2_star
+            tau2 = fixed_point(FIG4, alpha)
             d = se_derivative(FIG4, tau2, alpha)
             assert 0.0 <= d < 1.0
 
@@ -292,7 +304,6 @@ def test_threshold_whose_square_overflows_cuts_everything():
 
 @pytest.mark.parametrize("call, name", [
     (lambda: fixed_point(FIG4, math.nan), "alpha"),
-    (lambda: fixed_point(FIG4, 2.0, tau2_init=math.nan), "tau2_init"),
     (lambda: se_map(FIG4, math.nan, 1.0), "tau2"),
     (lambda: se_map(FIG4, 1.0, math.nan), "theta"),
     (lambda: se_derivative(FIG4, 1.0, math.nan), "alpha"),
@@ -309,13 +320,13 @@ def test_threshold_whose_square_overflows_cuts_everything():
     (lambda: mse_functional(FIG4.prior, math.nan, 1.0), "tau"),
     (lambda: cross_mse_functional(FIG4.prior, 0.5, -0.7, 0.1, 1.0, 1.0), "tau_b"),
     (lambda: cross_mse_functional(FIG4.prior, 0.5, 0.7, 0.1, math.nan, 1.0), "theta_a"),
-], ids=["fixed_point", "fixed_point_start", "se_map_tau2", "se_map_theta",
+], ids=["fixed_point", "se_map_tau2", "se_map_theta",
         "se_derivative_alpha", "se_derivative_tau2", "two_time_recursion", "alpha_min",
         "invert_calibration", "SEParams_bool", "SEParams_nan", "SEParams_negative",
         "se_sequence_alpha", "se_sequence_T", "two_time_recursion_T", "mse_tau",
         "cross_tau_b", "cross_theta_a"])
 def test_nan_or_nonpositive_parameter_rejected_at_once(call, name):
-    # the whole word: "tau2" must not pass on a message about tau2_init
+    # the whole word: "tau" must not pass on a message about tau_b
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call()
 
@@ -366,53 +377,43 @@ class TestSharedSequence:
         calls = []
         monkeypatch.setattr(state_evolution, "se_map",
                             lambda *args: calls.append(args) or se_map(*args))
-        traj = fixed_point(FIG4, bundle.alpha)
-        T = len(traj.tau2_sequence) - 1
-        assert traj.tau2_star == bundle.tau2_star == traj.tau2_sequence[-1]
-        assert traj.tau2_sequence == se_sequence(FIG4, bundle.alpha, T)
+        tau2_star = fixed_point(FIG4, bundle.alpha)
+        traj = iterate_from(FIG4, bundle.alpha, FIG4.tau2_init)
+        T = len(traj) - 1
+        assert tau2_star == bundle.tau2_star == traj[-1]
+        assert traj == se_sequence(FIG4, bundle.alpha, T)
         assert calls == []
-
-    def test_own_start_leaves_the_memo_untouched(self, monkeypatch):
-        state_evolution._se_memo.cache_clear()
-        stored = se_sequence(FIG4, 2.0, 4)
-        calls = []
-        monkeypatch.setattr(state_evolution, "se_map",
-                            lambda *args: calls.append(args) or se_map(*args))
-        traj = fixed_point(FIG4, 2.0, tau2_init=3.0)
-        assert traj.tau2_sequence[0] == 3.0 and len(calls) == len(traj.tau2_sequence)
-        assert state_evolution._se_memo(FIG4, 2.0) == stored
 
 
 class TestTwoTimeRecursion:
     def test_diagonal_matches_one_dimensional_recursion(self):
         alpha = 2.0
         T = 12
-        out = two_time_recursion(FIG4, alpha, T)
-        assert out.R.shape == (T + 1, T + 1)
-        assert_allclose(np.diag(out.R), out.tau2_sequence, rtol=1e-12)
+        R = two_time_recursion(FIG4, alpha, T)
+        assert R.shape == (T + 1, T + 1)
+        assert_allclose(np.diag(R), se_sequence(FIG4, alpha, T), rtol=1e-12)
         # independent 1-D recursion
         t2 = FIG4.tau2_init
         for s in range(T + 1):
-            assert_allclose(out.R[s, s], t2, rtol=1e-10)
+            assert_allclose(R[s, s], t2, rtol=1e-10)
             t2 = se_map(FIG4, t2, alpha * math.sqrt(t2))
 
     def test_shares_the_memoised_sequence_and_hands_out_copies(self):
         first = se_sequence(FIG4, 2.0, 5)
         first[1] = -1.0
-        assert se_sequence(FIG4, 2.0, 5)[1] == two_time_recursion(FIG4, 2.0, 5).tau2_sequence[1] > 0
+        assert se_sequence(FIG4, 2.0, 5)[1] == two_time_recursion(FIG4, 2.0, 5)[1, 1] > 0
         for T in (-1, 2.5):
             with pytest.raises(ValueError):
                 se_sequence(FIG4, 2.0, T)
 
     def test_symmetric_and_psd(self):
-        out = two_time_recursion(FIG4, 2.0, 10)
-        assert_allclose(out.R, out.R.T, rtol=1e-12)
-        eigs = np.linalg.eigvalsh(out.R)
+        R = two_time_recursion(FIG4, 2.0, 10)
+        assert_allclose(R, R.T, rtol=1e-12)
+        eigs = np.linalg.eigvalsh(R)
         assert eigs.min() > -1e-8 * eigs.max()
 
     def test_cauchy_schwarz_rows(self):
-        out = two_time_recursion(FIG4, 1.5, 10)
-        R = out.R
+        R = two_time_recursion(FIG4, 1.5, 10)
         for s in range(10):
             for t in range(10):
                 assert abs(R[s, t]) <= math.sqrt(R[s, s] * R[t, t]) * (1 + 1e-10)
@@ -420,7 +421,7 @@ class TestTwoTimeRecursion:
     def test_adjacent_covariance_approaches_fixed_point(self):
         alpha = 2.0
         T = 26
-        out = two_time_recursion(FIG4, alpha, T)
-        tau2_star = fixed_point(FIG4, alpha).tau2_star
-        gaps = [abs(out.R[t, t + 1] - tau2_star) for t in range(5, T - 1)]
+        R = two_time_recursion(FIG4, alpha, T)
+        tau2_star = fixed_point(FIG4, alpha)
+        gaps = [abs(R[t, t + 1] - tau2_star) for t in range(5, T - 1)]
         assert gaps[-1] < gaps[0] * 1e-2
