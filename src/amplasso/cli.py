@@ -88,8 +88,6 @@ def _cmd_min_lambda(args, config):
     result = minimum_lambda(config.se_params, config.lambda_bracket)
     print(f"lambda_opt = {result.lambda_opt:.6f}")
     print(f"mse_opt    = {result.mse_opt:.6f}")
-    if not result.unimodal:
-        print("warning: sampled profile is not unimodal; returned the best coarse grid point")
     return _EXIT_OK
 
 

@@ -46,10 +46,7 @@ from .lasso import solve_lasso
 from .scalars import (Prior, _mse_slope, finite_float, integer_at_least, nonnegative_float,
                       one_of, positive_float)
 from .state_evolution import (SEParams, _brent_root, alpha_min, calibrate_lambda, fixed_point,
-                              predicted_risk, se_map)
-
-# minimum_lambda: points of the coarse grid
-_COARSE_POINTS = 17
+                              invert_calibration, predicted_risk, se_map)
 
 
 def _string(value):
@@ -77,8 +74,8 @@ def _prior(value):
 
 
 def _bracket(bracket):
-    """(lo, hi) as floats, if `bracket` holds two numbers with 0 < lo <= hi."""
-    pair = tuple(float(v) for v in bracket)
+    """(lo, hi) as floats, if `bracket` holds two finite numbers with 0 < lo <= hi."""
+    pair = _list(finite_float)(bracket)
     if not (len(pair) == 2 and 0 < pair[0] <= pair[1]):
         raise ValueError(f"bracket must be two numbers with 0 < lo <= hi, got {pair}")
     return pair
@@ -117,7 +114,7 @@ class ExperimentConfig:
     tau2_grid: tuple | None = _key(_list(lambda v: positive_float(v, "tau2"), optional=True),
                                    default=None)
     f_map_alpha: float = _key(lambda v: nonnegative_float(v, "f_map_alpha"), default=2.0)
-    lambda_bracket: tuple = _key(lambda v: _bracket(_list(finite_float)(v)), default=(0.05, 2.0))
+    lambda_bracket: tuple = _key(_bracket, default=(0.05, 2.0))
 
     def __post_init__(self):
         for f in fields(self):
@@ -377,44 +374,43 @@ def write_curve_tables(tables, out_dir):
 
 @dataclass
 class MinimumLambdaResult:
+    """The penalty of least predicted risk in a bracket, and that risk.
+
+    unimodal is always True (see minimum_lambda); it stays for its readers.
+    """
+
     lambda_opt: float
     mse_opt: float
     unimodal: bool
 
 
 def minimum_lambda(params, lambda_bracket):
-    """Penalty minimizing the predicted risk inside the bracket.
+    """Penalty minimizing the predicted risk delta (tau*^2 - sigma^2) inside the bracket.
 
-    Samples a coarse grid first; if the profile is not unimodal on it, the
-    best grid point is returned with unimodal=False. Otherwise one Brent root
-    in alpha, between the grid neighbours of the best point, finds where
-    d/dtheta E{[eta(X0 + tau* Z; theta) - X0]^2} vanishes at the fixed point
-    (tau*, alpha tau*): as 1 - dF/dtau^2 > 0 there and lambda(alpha)
-    increases, that slope has the sign of d mse/d lambda. The best grid
-    point is returned if the slope keeps its sign or the root's risk is higher.
+    slope(alpha) = d/dtheta mse(tau*, theta) at theta = alpha tau* has the sign
+    of d tau*^2/d alpha (1 - dF/dtau^2 > 0 at the stable fixed point), hence
+    of d risk/d lambda, as lambda(alpha) increases. It changes sign at most
+    once, so the answer is lo if slope >= 0 at lo's alpha, hi if slope <= 0
+    at hi's, else lambda at the slope's one Brent root between the two.
+    Why once: at a stationary alpha, theta = alpha tau* minimises mse(tau*, .),
+    so tau*^2 is a fixed point of G(tau^2) = sigma^2 + min_theta mse(tau,
+    theta)/delta = inf_alpha F(tau^2, alpha tau). G is an infimum of maps
+    concave in tau^2 (acceptance criterion 8) with G(0) = sigma^2 > 0, so it
+    has one fixed point tau_G^2, and alpha = argmin mse(tau_G, .)/tau_G. The
+    premise, which the tests check on a grid, is that theta -> mse(tau, theta)
+    has a single stationary point.
     """
     lo, hi = _bracket(lambda_bracket)
-    if hi == lo:
-        return MinimumLambdaResult(lo, predicted_risk(params, lo).mse_predicted, True)
-
-    grid = np.linspace(lo, hi, _COARSE_POINTS)
-    bundles = [predicted_risk(params, float(l)) for l in grid]
-    vals = [b.mse_predicted for b in bundles]
-    k = int(np.argmin(vals))
-    diffs = np.sign(np.diff(vals))
-    changes = int(np.count_nonzero(np.diff(diffs[diffs != 0])))
-    best = MinimumLambdaResult(float(grid[k]), vals[k], changes <= 1)
-    if changes > 1:
-        return best
 
     def slope(alpha):
         tau = math.sqrt(fixed_point(params, alpha))
         return _mse_slope(params.prior, tau, alpha * tau)
 
-    a = bundles[max(k - 1, 0)].alpha
-    b = bundles[min(k + 1, _COARSE_POINTS - 1)].alpha
-    if slope(a) * slope(b) > 0.0:
-        return best
-    lam = calibrate_lambda(params, _brent_root(slope, a, b))
-    mse = predicted_risk(params, lam).mse_predicted
-    return MinimumLambdaResult(lam, mse, True) if mse <= best.mse_opt else best
+    a, b = invert_calibration(params, lo), invert_calibration(params, hi)
+    if slope(a) >= 0.0:
+        lam = lo
+    elif slope(b) <= 0.0:
+        lam = hi
+    else:
+        lam = min(max(calibrate_lambda(params, _brent_root(slope, a, b)), lo), hi)
+    return MinimumLambdaResult(lam, predicted_risk(params, lam).mse_predicted, True)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import random
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -24,7 +25,7 @@ from amplasso.experiments import (CurveTables, ExperimentConfig, ExperimentRecor
                                   write_records_csv)
 from amplasso.instances import generate
 from amplasso.lasso import solve_lasso
-from amplasso.scalars import Prior, get_preset
+from amplasso.scalars import Prior, _mse_slope, get_preset
 from amplasso.state_evolution import SEParams, alpha_min, fixed_point, predicted_risk, se_map
 
 SMALL = ExperimentConfig(
@@ -37,6 +38,32 @@ FIG4 = SMALL.se_params
 # AMP's measured errors, which depend within rounding on the penalties that share its stack
 AMP_ERRORS = ("mse_amp", "amp_lasso_gap")
 NAN, INF = float("nan"), float("inf")
+
+
+def _three_point(eps):
+    return Prior((-1.0, 0.0, 1.0), (eps / 2, 1.0 - eps, eps / 2))
+
+
+def _drawn(seed):
+    """Parameters drawn in the benchmark's theory ranges."""
+    rng = np.random.default_rng(seed)
+    eps = rng.uniform(0.06, 0.15)
+    return SEParams(rng.uniform(0.5, 0.8), rng.uniform(0.1, 0.4), _three_point(eps))
+
+
+def _optimum_above_two(seed):
+    """Parameters whose unconstrained optimal penalty is above 2: 2.66, 2.10, 2.54 at seeds 1, 5, 7."""
+    rng = random.Random(seed)
+    delta = rng.uniform(0.2, 0.9)
+    eps = rng.uniform(0.02, 0.3) * delta
+    return SEParams(delta, rng.uniform(0.01, 1.0), _three_point(eps))
+
+
+# README parameters, drawn sets, then sets whose optimum lies above the bracket [0.05, 2]
+MIN_LAMBDA_PARAMS = ([pytest.param(FIG4, id="None")]
+                     + [pytest.param(_drawn(seed), id=str(seed)) for seed in range(5)]
+                     + [pytest.param(_optimum_above_two(seed), id=f"above-{seed}")
+                        for seed in (1, 5, 7)])
 
 
 class TestConfig:
@@ -411,15 +438,8 @@ class TestMinimumLambda:
         for off in (-0.01, 0.01):
             assert predicted_risk(FIG4, res.lambda_opt + off).mse_predicted >= res.mse_opt - 1e-9
 
-    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
-    def test_matches_scipy_bounded_minimiser(self, seed):
-        # README parameters, then drawn sets in the benchmark's theory ranges
-        params = FIG4
-        if seed is not None:
-            rng = np.random.default_rng(seed)
-            eps = rng.uniform(0.06, 0.15)
-            params = SEParams(rng.uniform(0.5, 0.8), rng.uniform(0.1, 0.4),
-                              Prior((-1.0, 0.0, 1.0), (eps / 2, 1.0 - eps, eps / 2)))
+    @pytest.mark.parametrize("params", MIN_LAMBDA_PARAMS)
+    def test_matches_scipy_bounded_minimiser(self, params):
         lo, hi = 0.05, 2.0
         res = minimum_lambda(params, (lo, hi))
         ref = minimize_scalar(lambda lam: predicted_risk(params, lam).mse_predicted,
@@ -427,6 +447,15 @@ class TestMinimumLambda:
         assert res.unimodal
         assert abs(res.lambda_opt - ref.x) <= 1e-4 * max(1.0, hi)
         assert res.mse_opt <= ref.fun + 1e-12
+        assert res.mse_opt == predicted_risk(params, res.lambda_opt).mse_predicted
+
+    @pytest.mark.parametrize("params", MIN_LAMBDA_PARAMS)
+    def test_threshold_slope_changes_sign_once(self, params):
+        # minimum_lambda's premise: theta -> mse(tau, theta) has a single stationary point
+        for tau in np.linspace(0.05, 5.0, 12):
+            thetas = np.geomspace(1e-3, 30.0 * tau, 300)
+            signs = np.sign([_mse_slope(params.prior, tau, theta) for theta in thetas])
+            assert signs[0] == -1 and signs[-1] == 1 and np.count_nonzero(np.diff(signs)) == 1
 
     def test_minimum_at_the_lower_end_returns_it(self):
         res = minimum_lambda(FIG4, (1.5, 2.0))
@@ -442,18 +471,7 @@ class TestMinimumLambda:
             minimum_lambda(FIG4, (0.0, 1.0))
         with pytest.raises(ValueError):
             minimum_lambda(FIG4, (2.0, 1.0))
-
-    def test_non_unimodal_profile_returns_best_grid_point(self, monkeypatch):
-        class FakeBundle:
-            def __init__(self, mse):
-                self.mse_predicted = mse
-
-        def wiggly(params, lam):
-            return FakeBundle(np.cos(12.0 * lam) + 0.01 * lam)
-
-        monkeypatch.setattr(exps, "predicted_risk", wiggly)
-        res = minimum_lambda(FIG4, (0.1, 2.0))
-        assert not res.unimodal
-        grid = np.linspace(0.1, 2.0, 17)
-        vals = [wiggly(None, l).mse_predicted for l in grid]
-        assert res.lambda_opt == grid[int(np.argmin(vals))]
+        with pytest.raises(ValueError, match="finite"):
+            minimum_lambda(FIG4, (0.1, INF))
+        with pytest.raises(ValueError, match="finite"):
+            minimum_lambda(FIG4, ("0.1", "2.0"))
