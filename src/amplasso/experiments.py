@@ -5,18 +5,23 @@ solver, run the message-passing iteration on it, and record both empirical
 risks next to the theoretical prediction and the iterations each solver ran.
 Cells are grouped by instance: each (N, seed) matrix is drawn once and every
 penalty of the grid runs on it, so a cell's wall_time_generate is its
-instance's draw, repeated on each of the instance's rows. A failure of the
-draw marks all of that instance's rows; a failure of one penalty marks only
-its own. Instances run one after another, each matrix product using every
-core through BLAS; the prediction (and with it AMP's threshold ratio) is
-computed once per lambda and shared. A lambda whose prediction raises makes
-all of its cells error rows, with no solve and no AMP row.
+instance's draw, repeated on each of the instance's rows. Instances run one
+after another, each matrix product using every core through BLAS; the
+prediction (and with it AMP's threshold ratio) is computed once per lambda
+and shared. A lambda whose prediction raises makes all of its cells error
+rows, with no solve and no AMP row.
 
-On an instance the penalties run from largest to smallest, as a path: each
-reference solve starts from the instance's most recent certified solution
-(the first one starts at 0), and a solve that raised or stopped above its
-tolerance passes nothing on. A cell's LASSO columns can therefore depend on
-the grid's larger penalties, within the KKT certificate.
+On an instance the reference solves run as one penalty path
+(lasso.solve_lasso_path), from the largest penalty to the smallest: each
+penalty starts from the path's most recent converged solution (the first
+one starts at 0), so a cell's LASSO columns can depend on the grid's larger
+penalties, within the KKT certificate. A penalty that stopped above its
+tolerance is an error row on its own (ConvergenceError), since its solution
+is not ground truth. An exception from the draw or from the path marks all
+of the instance's rows: once its inputs are valid, nothing in a path raises
+for one penalty alone, and a raise in the middle of a column move leaves
+A's column order unfit for the penalties after it. A cell's wall_time_lasso
+is the path's time, repeated on each of the instance's rows.
 
 AMP then runs once per instance, at every penalty with a certified solution,
 as one stack (amp.run_amp_grid): one product pair per step for all of
@@ -42,7 +47,7 @@ from ._version import __version__
 from .amp import THRESHOLD_POLICIES, run_amp_grid
 from .errors import ConvergenceError
 from .instances import ENSEMBLES, generate, row_count
-from .lasso import solve_lasso
+from .lasso import solve_lasso_path
 from .scalars import (Prior, _mse_slope, finite_float, integer_at_least, nonnegative_float,
                       one_of, positive_float)
 from .state_evolution import (SEParams, _brent_root, alpha_min, calibrate_lambda, fixed_point,
@@ -192,22 +197,6 @@ def _error_record(config, lam, N, seed, prediction, exc):
                             error=f"{type(exc).__name__}: {exc}", **predicted)
 
 
-def _certified_solve(config, inst, lam, start):
-    """The reference solve of one penalty, from `start` (None: from 0).
-
-    Raises:
-        ConvergenceError: the solve stopped above its KKT tolerance, so it is
-            not ground truth for the cell.
-    """
-    sol = solve_lasso(inst.A, inst.y, lam, tol=config.lasso_tol,
-                      max_iter=config.lasso_max_iter, start=start)
-    if not sol.converged:
-        raise ConvergenceError(
-            f"reference solve stopped at KKT residual {sol.kkt_residual:.3e} "
-            f"> {config.lasso_tol:g} after {sol.iterations} iterations")
-    return sol
-
-
 def _record(config, inst, lam, prediction, sol, state,
             wall_time_generate, wall_time_lasso, wall_time_amp):
     """A solved cell: AMP's final `state` next to the certified solution `sol`."""
@@ -233,34 +222,35 @@ def _run_instance(config, N, seed, predictions):
     each (grouping, path, stack and failure rules: see the module docstring)."""
     if not predictions:  # every prediction failed: nothing to draw the matrix for
         return []
+    lams = sorted(predictions, reverse=True)
     try:
         t0 = time.perf_counter()
         inst = generate(config.se_params, N, config.ensemble, seed)
-        wall_time_generate = time.perf_counter() - t0
+        t1 = time.perf_counter()
+        path = solve_lasso_path(inst.A, inst.y, lams, tol=config.lasso_tol,
+                                max_iter=config.lasso_max_iter)
+        t2 = time.perf_counter()
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        return [_error_record(config, lam, N, seed, predictions[lam], exc)
-                for lam in predictions]
+        return [_error_record(config, lam, N, seed, predictions[lam], exc) for lam in lams]
+    wall_time_generate, wall_time_lasso = t1 - t0, t2 - t1
     records = []
-    solved = []  # (lam, certified solution, solve time), in path order
-    start = None
-    for lam in sorted(predictions, reverse=True):
-        try:
-            t1 = time.perf_counter()
-            # a solve that raises leaves the last certified start in place
-            start = _certified_solve(config, inst, lam, start)
-            solved.append((lam, start, time.perf_counter() - t1))
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            records.append(_error_record(config, lam, N, seed, predictions[lam], exc))
-    t2 = time.perf_counter()
+    solved = []  # (lam, certified solution), in path order
+    for lam, sol in zip(lams, path):
+        if sol.converged:
+            solved.append((lam, sol))
+        else:
+            records.append(_error_record(config, lam, N, seed, predictions[lam], ConvergenceError(
+                f"reference solve stopped at KKT residual {sol.kkt_residual:.3e} "
+                f"> {config.lasso_tol:g} after {sol.iterations} iterations")))
     try:
-        outcomes = run_amp_grid(inst, config.se_params, [lam for lam, _, _ in solved],
-                                [predictions[lam].alpha for lam, _, _ in solved],
+        outcomes = run_amp_grid(inst, config.se_params, [lam for lam, _ in solved],
+                                [predictions[lam].alpha for lam, _ in solved],
                                 t_max=config.amp_t_max, stop_tol=config.amp_stop_tol,
                                 threshold_policy=config.amp_policy)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         outcomes = [exc] * len(solved)
     wall_time_amp = time.perf_counter() - t2
-    for (lam, sol, wall_time_lasso), outcome in zip(solved, outcomes):
+    for (lam, sol), outcome in zip(solved, outcomes):
         if isinstance(outcome, Exception):
             records.append(_error_record(config, lam, N, seed, predictions[lam], outcome))
         else:

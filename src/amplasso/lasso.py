@@ -5,20 +5,37 @@ gradient (FISTA) with restarts on cost increase, finished by conjugate
 gradients once the signed support has settled, and certified by the KKT
 residual so the returned solution is solver-independent ground truth.
 
+A solve runs a path of penalties on one A and y, in the order given
+(pathwise solving, as in glmnet, Friedman, Hastie & Tibshirani 2010, and
+FPC's continuation, Hale, Yin & Zhang 2008); solve_lasso is the path of one
+penalty. Each penalty starts from the path's last converged solution, and
+at 0 until there is one. The start carries its image A x and its gradient
+A^T (y - A x), which give the penalty's first step with no product. A warm
+start does not wait for two checks to agree before its finish (below):
+its supports are those of nearby minimisers rather than FISTA's transient
+early ones.
+
 The iterate lives on a working set W of columns, outside of which it is 0
 (working sets with KKT checks over all columns: Tibshirani et al. 2012,
-strong rules; Massias, Gramfort & Salmon 2018, Celer). W starts as the
-start's support and every coordinate whose gradient breaks the KKT bound
-|g_j| <= lambda; each KKT check computes A^T (y - A x) over all columns and
-appends to W the coordinates outside it that break the bound. Every FISTA
-step and every conjugate-gradient step multiplies only W's columns, which
-the solver keeps as the column prefix A[:, :m] by moving columns inside A's
-own buffer, a block of rows at a time and with no copy of A or of W. A is
-put back in its own column order before the solve returns or raises, and
-the returned image, cost and certificate come from fresh products on the
-restored A; should that certificate miss the tolerance by rounding, the
-solve goes on from it. A is therefore written to during a solve, and a
+strong rules; Massias, Gramfort & Salmon 2018, Celer). A penalty's W is the
+W the penalties before it left, grown by its start's support and every
+coordinate whose gradient breaks the KKT bound |g_j| <= lambda; each KKT
+check computes A^T (y - A x) over all columns and appends to W the
+coordinates outside it that break the bound, so W only grows along the
+path. Every FISTA step and every conjugate-gradient step multiplies only
+W's columns, which the solver keeps as the column prefix A[:, :m] by moving
+columns inside A's own buffer, a block of rows at a time and with no copy
+of A or of W. A is put back in its own column order once, when the path
+returns or raises. A is therefore written to during a solve, and a
 read-only A is rejected.
+
+Each penalty is certified by its own last check, the one that ends it at a
+KKT residual of at most tol or at max_iter: the returned image is the last
+FISTA step's direct product A_W x, the gradient is that check's A^T (y -
+image) over all columns, put back in A's own order, and the cost and the
+KKT residual are computed from them. Both products ran on A with W's
+columns moved to its front, so they can differ by rounding from products
+on A in its own order.
 
 The minimiser is fixed by its signed support S, s: given them, x_S solves the
 linear system A_S^T A_S x_S = A_S^T y - lambda s. When two successive KKT
@@ -29,33 +46,24 @@ FISTA continues from where they stop: the point is kept whether or not the
 support was right, since its cost is no higher, and the check that ends the
 block, computed from a fresh gradient at a FISTA iterate, decides. Every
 conjugate-gradient step, like every FISTA step, costs one product with A_W
-and one with A_W^T, and both kinds count as iterations under one cap. With
-the final certificate counted as a check, a cold solve of k iterations makes
-2k + checks + 1 products: the gradient A^T y at 0 is both W's first
-violators and the first step's gradient, each check is one product with A^T
-over all columns, and the certificate adds the image A x_hat.
+and one with A_W^T, and both kinds count as iterations under one cap. A
+penalty of k iterations and c checks makes 2k + c - 1 products, since its
+first step's gradient comes with its start, and the path makes one more:
+the gradient A^T y at 0, computed once before any column moves, which is
+every cold start's gradient.
 
 The step is 1/L for a curvature estimate L that needs no spectral norm
 (the local test of Beck & Teboulle 2009, kept without retries). L starts at
-||A||_F^2 / min(n, N), a lower bound on sigma_max(A)^2, and each step d from
-the gradient point v to the new iterate is tested against it: the cost's
-smooth part is quadratic, so the step is a majorisation step exactly when
-||A d||^2 <= L ||d||^2, and A d = A x_new - A v is a difference of images the
-loop already holds. A step that fails the test is kept, L doubles for the
-steps after it and the momentum restarts, as after a cost increase. L can
-double at most ceil(log2(min(n, N))) times before it reaches sigma_max^2,
-which bounds every sigma_max(A_W)^2, after which no test fails, and the KKT
-certificate decides convergence either way. An all-zero A keeps step 1.
-
-A solve may start from the solution of the same A and y at another penalty
-(a pathwise warm start, as in glmnet, Friedman, Hastie & Tibshirani 2010,
-and FPC's continuation, Hale, Yin & Zhang 2008). The solution carries its
-image A x_hat and its gradient A^T (y - A x_hat), which give the start's W
-and its first step with no product, so a warm solve makes one product fewer
-than a cold one: 2k + checks. A warm solve does not wait for two checks to
-agree: its finish runs from every check whose signed support has not
-settled, since its supports are those of nearby minimisers rather than
-FISTA's transient early ones.
+||A||_F^2 / min(n, N), a lower bound on sigma_max(A)^2 computed once per
+path, at every penalty, and each step d from the gradient point v to the
+new iterate is tested against it: the cost's smooth part is quadratic, so
+the step is a majorisation step exactly when ||A d||^2 <= L ||d||^2, and
+A d = A x_new - A v is a difference of images the loop already holds. A
+step that fails the test is kept, L doubles for the steps after it and the
+momentum restarts, as after a cost increase. L can double at most
+ceil(log2(min(n, N))) times before it reaches sigma_max^2, which bounds
+every sigma_max(A_W)^2, after which no test fails, and the KKT certificate
+decides convergence either way. An all-zero A keeps step 1.
 """
 
 from __future__ import annotations
@@ -73,10 +81,13 @@ _MOVE_BYTES = 1 << 20
 
 @dataclass
 class LassoSolution:
-    """A solve's last iterate, certified on A in its own column order.
+    """One penalty's last iterate, certified by its last KKT check.
 
-    image is A @ x_hat and gradient is A.T @ (y - image), both from direct
-    products; kkt_residual and cost are computed from them.
+    x_hat and gradient are in A's own column order. image is A @ x_hat from
+    the last FISTA step and gradient is that check's A.T @ (y - image), both
+    direct products on A with the working set's columns moved to its front;
+    kkt_residual and cost are computed from them, and converged is
+    kkt_residual <= tol.
     """
 
     x_hat: np.ndarray
@@ -201,53 +212,139 @@ def _cg_finish(A, lam, tol, x, Ax, g, signs, budget):
     return x, Ax, steps, True
 
 
-def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
-    """Solve the penalized problem to a KKT residual below tol.
+def _solve_penalty(front, y, lam, tol, max_iter, lip, start, warm):
+    """One penalty of a path on `front`, from start = (x_hat, image, gradient) in A's own order.
 
-    Accelerated proximal gradient with step 1/L, L the curvature estimate of
-    the module docstring: it starts at ||A||_F^2 / min(n, N) and doubles
-    after each step with ||A d||^2 > L ||d||^2, and the momentum resets
-    after such a step and whenever the cost increases. The iterate is 0
-    outside the working set W, which starts as the start's support and its
-    KKT violators (|gradient_j| > lambda), and the steps multiply only W's
-    columns. The KKT residual is checked, by one product with A^T over all
-    columns, when the step count reaches a multiple of 10, and at max_iter;
-    a failed check appends its violators to W. When a check fails with the
-    same signed support S, s as the previous check and 0 < |S| <= n, up to 9
+    W grows by the start's support and violators, the steps run on it and
+    the checks over all columns, as solve_lasso_path describes; the return
+    is the LassoSolution of the check that ends the penalty.
+    """
+    A = front.A
+    n, N = A.shape
+    x_hat, image, gradient = start
+    front.append(((x_hat != 0.0) | (np.abs(gradient) > lam))[front.order])
+    A_W = A[:, :front.m]
+    W = front.order[:front.m]
+    x = x_prev = x_hat[W]
+    Ax = Ax_prev = image
+    # the first step's gradient point is x, whose gradient is known
+    g = -gradient[W]
+    step = 1.0 / lip if lip > 0 else 1.0
+    tk = tk_prev = 1.0
+    cost_prev = _cost(y - image, x_hat, lam)
+    signs_prev = None
+    settled = set()
+    it = 0
+    while True:
+        beta = (tk_prev - 1.0) / tk
+        # the gradient point is a linear combination of stored iterates, so
+        # its image under A comes from cached products rather than a matvec
+        v = x + beta * (x - x_prev)
+        Av = Ax + beta * (Ax - Ax_prev)
+        if g is None:
+            g = A_W.T @ (Av - y)
+        x_new = soft_threshold(v - step * g, step * lam)
+        g = None
+        Ax_new = A_W @ x_new
+        d, Ad = x_new - v, Ax_new - Av
+        curved = float(np.dot(Ad, Ad)) > lip * float(np.dot(d, d))
+        if curved:
+            lip *= 2.0
+            step = 1.0 / lip
+        r = y - Ax_new
+        cost = _cost(r, x_new, lam)
+        if curved or cost > cost_prev:
+            tk = tk_prev = 1.0
+        else:
+            tk_prev, tk = tk, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        x_prev, x = x, x_new
+        Ax_prev, Ax = Ax, Ax_new
+        cost_prev = cost
+        it += 1
+        # checks fall on multiples of 10, since a finish never crosses one;
+        # the loop always ends on a check: at convergence or at max_iter
+        if it % _KKT_CHECK_EVERY and it < max_iter:
+            continue
+        corr = A.T @ r
+        kkt = _kkt_violation(corr, np.concatenate((x, np.zeros(N - front.m))), lam)
+        # a NaN residual ends the solve uncertified: a NaN iterate stays NaN
+        if not kkt > tol or it == max_iter:
+            x_hat = front.scatter(x)
+            gradient = np.empty(N)
+            gradient[front.order] = corr
+            # kkt, a maximum over the coordinates, is the same in A's own order
+            return LassoSolution(x_hat=x_hat, image=Ax, gradient=gradient,
+                                 cost=_cost(r, x_hat, lam), kkt_residual=kkt, iterations=it,
+                                 converged=bool(kkt <= tol))
+        grown = front.append(np.abs(corr) > lam, corr)
+        if grown:
+            # the new coordinates are 0, and stay 0 in every recorded support
+            A_W = A[:, :front.m]
+            x, x_prev = (np.concatenate((u, np.zeros(grown))) for u in (x, x_prev))
+            if signs_prev is not None:
+                signs_prev = np.concatenate((signs_prev, np.zeros(grown)))
+            settled = {key + bytes(8 * grown) for key in settled}
+        signs = np.sign(x)
+        # a cold solve's support is transient until two checks agree; a warm
+        # one starts at a neighbouring penalty's minimiser, so it is not
+        if ((warm or np.array_equal(signs, signs_prev))
+                and 0 < np.count_nonzero(signs) <= n and signs.tobytes() not in settled):
+            # the block's last step stays a FISTA step, so the check that
+            # ends it sees an image A x computed directly
+            budget = min(_KKT_CHECK_EVERY - 1, max_iter - 1 - it)
+            x, Ax, steps, done = _cg_finish(A_W, lam, tol, x, Ax, corr[:front.m], signs, budget)
+            it += steps
+            if done:
+                settled.add(signs.tobytes())
+            # the first FISTA step from the finish's point takes no momentum
+            x_prev, Ax_prev = x, Ax
+        signs_prev = signs
+
+
+def solve_lasso_path(A, y, lams, tol=1e-8, max_iter=50_000):
+    """Solve the penalized problem at each penalty of `lams`, in the order given.
+
+    Returns one LassoSolution per penalty, each certified by its own last
+    KKT check. At each penalty, accelerated proximal gradient with step 1/L,
+    L the curvature estimate of the module docstring: it starts at
+    ||A||_F^2 / min(n, N) and doubles after each step with
+    ||A d||^2 > L ||d||^2, and the momentum resets after such a step and
+    whenever the cost increases. The iterate is 0 outside the working set
+    W, which the penalty grows by its start's support and KKT violators
+    (|gradient_j| > lambda), and the steps multiply only W's columns. The
+    KKT residual is checked, by one product with A^T over all columns, when
+    the step count reaches a multiple of 10, and at max_iter; a failed
+    check appends its violators to W. When a check fails with the same
+    signed support S, s as the previous check and 0 < |S| <= n, up to 9
     conjugate-gradient steps on A_S^T A_S x_S = A_S^T y - lambda s start
     from the checked iterate, and FISTA continues from where they stop, so
     every check comes from a fresh gradient at a FISTA iterate. A signed
     support whose finish reached the tolerance or flipped a sign is not
     solved on again; one that ran out of steps is, from the next check.
 
+    Each penalty starts from the path's last converged solution: FISTA
+    begins at its x_hat with its image, its gradient and no momentum, the
+    first step's cost is compared with the start's cost at this lambda,
+    and a failed check needs no agreeing previous check for its finish.
+    Until a penalty has converged, each penalty starts at 0, with the
+    gradient A^T y that the path computes once, and waits for two checks to
+    agree. A penalty that did not converge passes nothing on.
+
     W's columns are moved to the front of A in place, and A is back in its
-    own column order, bit for bit, when the solve returns or raises. The
-    solve ends by certifying the last iterate on the restored A: fresh
-    products give the returned image A x_hat and gradient A^T (y - image),
-    and from them the cost and the KKT residual. A certificate that misses
-    tol where the check before it passed (by rounding) does not end the
-    solve: W is rebuilt from it and the steps go on.
+    own column order, bit for bit, when the path returns or raises.
 
-    The iterate starts at 0, or at `start`, a LassoSolution of the same A
-    and y at any penalty: FISTA begins at start.x_hat with image
-    start.image, gradient -start.gradient and no momentum, the first step's
-    cost is compared with the start's cost at this lambda, and a failed
-    check needs no agreeing previous check for its finish.
-
-    `iterations` counts FISTA and conjugate-gradient steps, each two
-    products with A_W, under one max_iter. Counting the final certificate
-    as a check, a cold solve makes 2 iterations + checks + 1 products and a
-    warm one, whose start brings its first gradient, one fewer. If max_iter
-    is exhausted the last iterate is returned with converged=False, as it
-    is at the first check whose residual is NaN (a NaN in A, y or the
-    start): NaN is never certified.
+    `iterations` counts a penalty's FISTA and conjugate-gradient steps,
+    each two products with A_W, under one max_iter per penalty; with its
+    checks, a penalty makes 2 iterations + checks - 1 products, and the
+    path one more for A^T y. If max_iter is exhausted the last checked
+    iterate is returned with converged=False, as it is at the first check
+    whose residual is NaN (a NaN in A or y): NaN is never certified.
 
     Raises:
-        ValueError: lam or tol not positive and finite, max_iter not an
-            integer of at least 1, A read-only, or a start whose x_hat,
-            image or gradient does not fit the shape of A.
+        ValueError: a penalty or tol not positive and finite, max_iter not
+            an integer of at least 1, or A read-only.
     """
-    positive_float(lam, "lambda")
+    lams = [positive_float(lam, "lambda") for lam in lams]
     positive_float(tol, "tol")
     integer_at_least(max_iter, 1, "max_iter")
     A = np.asarray(A, dtype=float)
@@ -257,106 +354,23 @@ def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000, start=None):
     # ||A||_F^2 is the sum of at most min(n, N) squared singular values; the
     # norm of a C-contiguous array reads a raveled view, so A is not copied
     lip = float(np.linalg.norm(A)) ** 2 / min(n, N)
-    step = 1.0 / lip if lip > 0 else 1.0
-
-    if start is None:
-        x_hat, image, gradient = np.zeros(N), np.zeros(n), A.T @ y
-    else:
-        x_hat, image, gradient = (np.asarray(v, dtype=float)
-                                  for v in (start.x_hat, start.image, start.gradient))
-        if x_hat.shape != (N,) or image.shape != (n,) or gradient.shape != (N,):
-            raise ValueError(f"start does not fit A {A.shape}: x_hat {x_hat.shape}, "
-                             f"image {image.shape}, gradient {gradient.shape}")
-    cost = _cost(y - image, x_hat, lam)
-    warm = start is not None
-    it = 0
-    rebuild = True
+    start, warm = (np.zeros(N), np.zeros(n), A.T @ y), False
+    path = []
     try:
-        while True:
-            if rebuild:
-                # W from the support and the violators of (x_hat, gradient): at
-                # the start, and after a certificate that missed tol by rounding
-                front.append((x_hat != 0.0) | (np.abs(gradient) > lam))
-                A_W = A[:, :front.m]
-                W = front.order[:front.m]
-                x = x_prev = x_hat[W]
-                Ax = Ax_prev = image
-                # the first step's gradient point is x, whose gradient is known
-                g = -gradient[W]
-                tk = tk_prev = 1.0
-                cost_prev = cost
-                signs_prev = None
-                settled = set()
-                rebuild = False
-            beta = (tk_prev - 1.0) / tk
-            # the gradient point is a linear combination of stored iterates, so
-            # its image under A comes from cached products rather than a matvec
-            v = x + beta * (x - x_prev)
-            Av = Ax + beta * (Ax - Ax_prev)
-            if g is None:
-                g = A_W.T @ (Av - y)
-            x_new = soft_threshold(v - step * g, step * lam)
-            g = None
-            Ax_new = A_W @ x_new
-            d, Ad = x_new - v, Ax_new - Av
-            curved = float(np.dot(Ad, Ad)) > lip * float(np.dot(d, d))
-            if curved:
-                lip *= 2.0
-                step = 1.0 / lip
-            r = y - Ax_new
-            cost = _cost(r, x_new, lam)
-            if curved or cost > cost_prev:
-                tk = tk_prev = 1.0
-            else:
-                tk_prev, tk = tk, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-            x_prev, x = x, x_new
-            Ax_prev, Ax = Ax, Ax_new
-            cost_prev = cost
-            it += 1
-            # checks fall on multiples of 10, since a finish never crosses one;
-            # the loop always ends on a check: at convergence or at max_iter
-            if it % _KKT_CHECK_EVERY and it < max_iter:
-                continue
-            corr = A.T @ r
-            kkt = _kkt_violation(corr, np.concatenate((x, np.zeros(N - front.m))), lam)
-            # a NaN residual ends the solve uncertified: a NaN iterate stays NaN
-            if not kkt > tol or it == max_iter:
-                x_hat = front.scatter(x)
-                front.restore()
-                image = A @ x_hat
-                r = y - image
-                gradient = A.T @ r
-                cost = _cost(r, x_hat, lam)
-                kkt = _kkt_violation(gradient, x_hat, lam)
-                if not kkt > tol or it == max_iter:
-                    return LassoSolution(x_hat=x_hat, image=image, gradient=gradient, cost=cost,
-                                         kkt_residual=kkt, iterations=it,
-                                         converged=bool(kkt <= tol))
-                rebuild = True
-                continue
-            grown = front.append(np.abs(corr) > lam, corr)
-            if grown:
-                # the new coordinates are 0, and stay 0 in every recorded support
-                A_W = A[:, :front.m]
-                x, x_prev = (np.concatenate((u, np.zeros(grown))) for u in (x, x_prev))
-                if signs_prev is not None:
-                    signs_prev = np.concatenate((signs_prev, np.zeros(grown)))
-                settled = {key + bytes(8 * grown) for key in settled}
-            signs = np.sign(x)
-            # a cold solve's support is transient until two checks agree; a warm
-            # one starts at a neighbouring penalty's minimiser, so it is not
-            if ((warm or np.array_equal(signs, signs_prev))
-                    and 0 < np.count_nonzero(signs) <= n and signs.tobytes() not in settled):
-                # the block's last step stays a FISTA step, so the check that
-                # ends it sees an image A x computed directly
-                budget = min(_KKT_CHECK_EVERY - 1, max_iter - 1 - it)
-                x, Ax, steps, done = _cg_finish(A_W, lam, tol, x, Ax, corr[:front.m], signs,
-                                                budget)
-                it += steps
-                if done:
-                    settled.add(signs.tobytes())
-                # the first FISTA step from the finish's point takes no momentum
-                x_prev, Ax_prev = x, Ax
-            signs_prev = signs
+        for lam in lams:
+            sol = _solve_penalty(front, y, lam, tol, max_iter, lip, start, warm)
+            path.append(sol)
+            if sol.converged:
+                start, warm = (sol.x_hat, sol.image, sol.gradient), True
+        return path
     finally:
         front.restore()
+
+
+def solve_lasso(A, y, lam, tol=1e-8, max_iter=50_000):
+    """Solve the penalized problem at one penalty: solve_lasso_path with lam alone.
+
+    Raises:
+        ValueError: as solve_lasso_path.
+    """
+    return solve_lasso_path(A, y, [lam], tol=tol, max_iter=max_iter)[0]

@@ -18,7 +18,6 @@ import amplasso.experiments as exps
 import amplasso.instances
 import amplasso.lasso
 from amplasso.amp import run_amp_grid
-from amplasso.errors import ConvergenceError
 from amplasso.experiments import (CurveTables, ExperimentConfig, ExperimentRecord,
                                   dump_se_curves,
                                   minimum_lambda, run_sweep, write_curve_tables,
@@ -205,29 +204,62 @@ class TestRunSweep:
             assert r.error.startswith("ConvergenceError: ")
             assert np.isnan(r.mse_lasso) and np.isnan(r.kkt_residual)
 
-    def test_nan_data_is_never_certified(self):
-        inst = amplasso.instances.generate(FIG4, 120, "gaussian", 0)
-        inst.y[5] = NAN
-        with pytest.raises(ConvergenceError, match="KKT residual nan"):
-            exps._certified_solve(SMALL, inst, 0.6, None)
+    def test_nan_data_is_never_certified(self, monkeypatch):
+        def planted(*args):
+            inst = amplasso.instances.generate(*args)
+            inst.y[5] = NAN
+            return inst
 
-    def test_cell_failure_is_isolated(self, monkeypatch):
-        real = exps.solve_lasso
-
-        def flaky(A, y, lam, **kw):
-            if lam == 0.6:
-                raise RuntimeError("boom")
-            return real(A, y, lam, **kw)
-
-        monkeypatch.setattr(exps, "solve_lasso", flaky)
+        monkeypatch.setattr(exps, "generate", planted)
         records = run_sweep(SMALL)
         assert len(records) == 4
-        failed = [r for r in records if r.error]
-        assert len(failed) == 2
-        assert all("boom" in r.error for r in failed)
-        assert all(np.isnan(r.mse_lasso) for r in failed)
-        assert all(np.isnan(r.lasso_iterations) and np.isnan(r.amp_iterations) for r in failed)
-        assert all(r.error == "" for r in records if r.lam == 1.2)
+        for r in records:
+            assert r.error.startswith(
+                "ConvergenceError: reference solve stopped at KKT residual nan")
+            assert np.isnan(r.mse_lasso) and np.isnan(r.kkt_residual)
+
+    def test_cell_failure_is_isolated(self, monkeypatch):
+        # an exception in an instance's path marks all of its rows, and only those
+        real, paths = exps.solve_lasso_path, []
+
+        def flaky(A, y, lams, **kw):
+            paths.append(lams)
+            if len(paths) == 1:
+                raise RuntimeError("boom")
+            return real(A, y, lams, **kw)
+
+        plain = run_sweep(SMALL)
+        monkeypatch.setattr(exps, "solve_lasso_path", flaky)
+        records = run_sweep(SMALL)
+        assert paths == [[1.2, 0.6], [1.2, 0.6]]
+        assert len(records) == 4
+        names = [f.name for f in fields(ExperimentRecord) if not f.name.startswith("wall_time_")]
+        for p, r in zip(plain, records):
+            if r.seed == 0:
+                assert r.error == "RuntimeError: boom"
+                assert np.isnan(r.mse_lasso) and np.isnan(r.wall_time_lasso)
+                assert np.isnan(r.lasso_iterations) and np.isnan(r.amp_iterations)
+                assert np.isfinite(r.mse_predicted)
+            else:
+                assert [getattr(r, n) for n in names] == [getattr(p, n) for n in names]
+
+    def test_unconverged_penalty_marks_only_its_rows(self, monkeypatch):
+        # the largest penalty stops after one step; the next one starts at 0
+        real = amplasso.lasso._solve_penalty
+
+        def capped(front, y, lam, tol, max_iter, *args):
+            return real(front, y, lam, tol, 1 if lam == 1.2 else max_iter, *args)
+
+        monkeypatch.setattr(amplasso.lasso, "_solve_penalty", capped)
+        records = run_sweep(SMALL)
+        assert len(records) == 4
+        for r in records:
+            if r.lam == 1.2:
+                assert re.fullmatch(r"ConvergenceError: reference solve stopped at KKT residual "
+                                    r"\S+ > 1e-08 after 1 iterations", r.error)
+                assert np.isnan(r.mse_lasso) and np.isnan(r.mse_amp)
+            else:
+                assert r.error == "" and r.kkt_residual <= SMALL.lasso_tol
 
     def test_failed_amp_row_marks_only_its_cell(self, monkeypatch):
         # the first residual threshold of lambda=0.6 on seed 0, as run_amp_grid computes it
@@ -259,13 +291,13 @@ class TestRunSweep:
                 assert abs(getattr(f, n) - getattr(p, n)) <= 1e-12
 
     def test_failed_prediction_marks_only_its_cells(self, monkeypatch):
-        real, solved, drawn = exps.solve_lasso, [], []
+        real, solved, drawn = exps.solve_lasso_path, [], []
 
-        def spy(A, y, lam, **kw):
-            solved.append(lam)
-            return real(A, y, lam, **kw)
+        def spy(A, y, lams, **kw):
+            solved.append(lams)
+            return real(A, y, lams, **kw)
 
-        monkeypatch.setattr(exps, "solve_lasso", spy)
+        monkeypatch.setattr(exps, "solve_lasso_path", spy)
         monkeypatch.setattr(exps, "generate", lambda *args: drawn.append(args) or
                             amplasso.instances.generate(*args))
         assert all(r.error for r in run_sweep(replace(SMALL, lambda_grid=(1e7,))))
@@ -276,7 +308,7 @@ class TestRunSweep:
             assert r.error.startswith("ConvergenceError: no alpha")
             assert np.isnan(r.mse_predicted) and np.isnan(r.mse_lasso) and np.isnan(r.mse_amp)
             assert np.isnan(r.lasso_iterations) and np.isnan(r.amp_iterations)
-        assert solved == [0.6, 0.6]  # no solve, and so no AMP row, at the failed penalty
+        assert solved == [[0.6], [0.6]]  # no solve, and so no AMP row, at the failed penalty
         names = [f.name for f in fields(ExperimentRecord) if not f.name.startswith("wall_time_")]
         alone = run_sweep(replace(SMALL, lambda_grid=(0.6,)))
         assert [[getattr(r, n) for n in names] for r in records[:2]] == \
@@ -293,29 +325,6 @@ class TestRunSweep:
         ascending = values((0.6, 0.9, 1.2))
         assert values((1.2, 0.9, 0.6)) == ascending
         assert values((0.9, 1.2, 0.6)) == ascending
-
-    def test_path_passes_on_only_certified_solutions(self, monkeypatch):
-        real = exps.solve_lasso
-        received, returned = {}, {}
-
-        def spy(A, y, lam, **kw):
-            received[lam] = kw["start"]
-            if lam == 1.2:
-                raise RuntimeError("boom")
-            if lam == 0.9:
-                kw["max_iter"] = 1
-            returned[lam] = real(A, y, lam, **kw)
-            return returned[lam]
-
-        monkeypatch.setattr(exps, "solve_lasso", spy)
-        records = run_sweep(replace(SMALL, lambda_grid=(0.6, 1.5, 0.9, 1.2), seeds=(0,)))
-        assert [r.error.split(":")[0] for r in records] == ["", "ConvergenceError",
-                                                            "RuntimeError", ""]
-        assert not returned[0.9].converged
-        # largest first from 0; the raised and the unconverged solve pass nothing on
-        assert received[1.5] is None
-        assert received[1.2] is received[0.9] is received[0.6] is returned[1.5]
-
 
     def test_one_draw_spectral_norm_and_no_recalibration_per_instance(self, monkeypatch):
         calls = {"generate": 0, "spectral_norm": 0, "invert_calibration": 0}
@@ -336,11 +345,13 @@ class TestRunSweep:
         # 2 sizes x 2 seeds; the solver sizes its own step, and AMP takes
         # alpha from the shared prediction
         assert calls == {"generate": 4, "spectral_norm": 0, "invert_calibration": 0}
-        # each instance's draw and stacked AMP run are shared by all of its penalties
+        # each instance's draw, penalty path and stacked AMP run are shared by
+        # all of its penalties
         for N in (120, 150):
             for seed in SMALL.seeds:
                 rows = [r for r in records if r.N == N and r.seed == seed]
                 assert len({r.wall_time_generate for r in rows}) == 1
+                assert len({r.wall_time_lasso for r in rows}) == 1
                 assert len({r.wall_time_amp for r in rows}) == 1
 
     def test_instance_failure_marks_only_its_rows(self, monkeypatch):

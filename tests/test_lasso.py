@@ -1,13 +1,11 @@
 """Reference-solver tests against a cyclic coordinate-descent oracle."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from amplasso import lasso
-from amplasso.lasso import LassoSolution, solve_lasso, spectral_norm
+from amplasso.lasso import solve_lasso, solve_lasso_path, spectral_norm
 from amplasso.scalars import soft_threshold
 
 
@@ -81,11 +79,28 @@ def finishes(monkeypatch):
     return log
 
 
-def assert_fresh_certificate(A, y, sol, lam, tol):
-    """The reported residual is, to the bit, the one a fresh gradient gives at x_hat."""
-    fresh = kkt_residual(A, y, sol.x_hat, lam)
-    assert sol.kkt_residual == fresh
-    assert sol.converged == (fresh <= tol)
+# Bound on the gap between a solution's certificate, from products on A with
+# the working set's columns moved to its front, and fresh products on A in
+# its own order. Measured over seeds 0-299 of small_instance at the three
+# shapes of these tests (8 x 10, 20 x 40, 45 x 30) and five penalty paths:
+# at most 4.4e-16 in the image, 1.1e-16 in the gradient and 4.2e-16 in the
+# KKT residual.
+ROUNDING = 1e-14
+
+
+def assert_certificate(A, y, sol, lam, tol):
+    """The solution is certified by its own last check.
+
+    The residual, the cost and the verdict come, to the bit, from the image
+    and the gradient it returns; those match fresh products at x_hat within
+    rounding.
+    """
+    assert sol.kkt_residual == lasso._kkt_violation(sol.gradient, sol.x_hat, lam)
+    assert sol.cost == lasso._cost(y - sol.image, sol.x_hat, lam)
+    assert sol.converged == (sol.kkt_residual <= tol)
+    assert_allclose(sol.image, A @ sol.x_hat, rtol=0, atol=ROUNDING)
+    assert_allclose(sol.gradient, A.T @ (y - sol.image), rtol=0, atol=ROUNDING)
+    assert abs(sol.kkt_residual - kkt_residual(A, y, sol.x_hat, lam)) <= ROUNDING
 
 
 class TestAgainstCoordinateDescent:
@@ -105,7 +120,7 @@ class TestConjugateGradientFinish:
         sol = solve_lasso(A, y, 0.05, tol=1e-11)
         signs, _, _, _, settled = finishes[-1]
         assert settled and np.array_equal(signs, np.sign(sol.x_hat))
-        assert_fresh_certificate(A, y, sol, 0.05, 1e-11)
+        assert_certificate(A, y, sol, 0.05, 1e-11)
         assert np.max(np.abs(sol.x_hat - coordinate_descent(A, y, 0.05))) < 1e-8
         # the same solve with every finish making no step
         monkeypatch.setattr(lasso, "_cg_finish", lambda A, lam, tol, x, Ax, *_: (x, Ax, 0, True))
@@ -121,7 +136,7 @@ class TestConjugateGradientFinish:
         assert settled and not np.array_equal(signs, np.sign(sol.x_hat))
         assert kkt_residual(A, y, x_cg, lam) > 1e-5
         assert sol.converged
-        assert_fresh_certificate(A, y, sol, lam, tol)
+        assert_certificate(A, y, sol, lam, tol)
         assert np.max(np.abs(sol.x_hat - coordinate_descent(A, y, lam))) < 1e-8
 
     # the seeds of 240-299 whose minimiser at lambda = 0.02 fills all n = 8
@@ -136,7 +151,7 @@ class TestConjugateGradientFinish:
         assert np.count_nonzero(signs) == A.shape[0]
         assert any(settled and np.array_equal(s, signs) for s, _, _, _, settled in finishes)
         assert sol.converged
-        assert_fresh_certificate(A, y, sol, lam, tol)
+        assert_certificate(A, y, sol, lam, tol)
         assert np.max(np.abs(sol.x_hat - coordinate_descent(A, y, lam))) < 1e-8
         assert sol.iterations <= 200
 
@@ -182,7 +197,7 @@ class TestConjugateGradientFinish:
         assert finishes[-1][1:2] + finishes[-1][3:] == (1, 1, False)
         assert short.iterations == max_iter
         assert not short.converged
-        assert_fresh_certificate(A, y, short, 0.05, 1e-11)
+        assert_certificate(A, y, short, 0.05, 1e-11)
 
 
 class CountingArray(np.ndarray):
@@ -221,10 +236,10 @@ class TestStepEstimate:
         sol = solve_lasso(A.view(CountingArray), y, 0.05, tol=1e-11, max_iter=max_iter)
         assert sol.converged == (max_iter == 50_000) == (sol.iterations < max_iter)
         # A^T y at 0 is both the first step's gradient and the working set's
-        # first violators, and the final certificate is a check plus the image
-        assert CountingArray.products == 2 * sol.iterations + len(checks) + 1
-        # one check per 10 steps, one at the cap, and the final certificate
-        assert len(checks) == sol.iterations // 10 + (sol.iterations % 10 != 0) + 1
+        # first violators, and the last check is the certificate
+        assert CountingArray.products == 2 * sol.iterations + len(checks)
+        # one check per 10 steps and one at the cap
+        assert len(checks) == sol.iterations // 10 + (sol.iterations % 10 != 0)
         if max_iter == 50_000:
             assert sum(steps for *_, steps, _ in finishes) > 0
 
@@ -238,7 +253,7 @@ class TestStepEstimate:
             y = A @ x0 + 0.1 * rng.normal(size=A.shape[0])
             sol = solve_lasso(A, y, 0.05, tol=1e-11)
             assert sol.converged
-            assert_fresh_certificate(A, y, sol, 0.05, 1e-11)
+            assert_certificate(A, y, sol, 0.05, 1e-11)
             assert np.max(np.abs(sol.x_hat - coordinate_descent(A, y, 0.05))) < 1e-8
 
     def test_duplicated_column_reaches_the_certificate(self):
@@ -247,7 +262,7 @@ class TestStepEstimate:
         A[:, 7] = A[:, 3]
         sol = solve_lasso(A, y, 0.05, tol=1e-11)
         assert sol.converged
-        assert_fresh_certificate(A, y, sol, 0.05, 1e-11)
+        assert_certificate(A, y, sol, 0.05, 1e-11)
         oracle = coordinate_descent(A, y, 0.05)
         assert np.max(np.abs(A @ sol.x_hat - A @ oracle)) < 1e-8
         assert sol.cost <= lasso_cost(A, y, oracle, 0.05) + 1e-12
@@ -271,52 +286,64 @@ def oracle_matrices(seed):
         yield A, A @ x0 + 0.1 * rng.normal(size=A.shape[0])
 
 
+def penalty_spy(monkeypatch, capped=()):
+    """{lambda: (start, warm)} of each penalty a path runs; penalties in `capped` stop at 1 step."""
+    received = {}
+    real = lasso._solve_penalty
+
+    def spy(front, y, lam, tol, max_iter, lip, start, warm):
+        received[lam] = start, warm
+        return real(front, y, lam, tol, 1 if lam in capped else max_iter, lip, start, warm)
+
+    monkeypatch.setattr(lasso, "_solve_penalty", spy)
+    return received
+
+
 class TestWarmStart:
+    """Each penalty of a path starts from the path's last converged solution."""
+
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("factor", [2.0, 0.5])
     def test_start_at_another_penalty_matches_the_oracle(self, seed, factor):
         lam, tol = 0.05, 1e-11
         for A, y in oracle_matrices(seed):
-            start = solve_lasso(A, y, factor * lam, tol=tol)
-            kept = start.x_hat.copy(), start.image.copy()
-            sol = solve_lasso(A, y, lam, tol=tol, start=start)
-            assert sol.converged
-            assert_fresh_certificate(A, y, sol, lam, tol)
-            oracle = coordinate_descent(A, y, lam)
-            assert np.max(np.abs(sol.x_hat - oracle)) < 1e-8
-            assert sol.cost <= lasso_cost(A, y, oracle, lam) + 1e-12
-            # the start is read, not written
-            assert np.array_equal(start.x_hat, kept[0]) and np.array_equal(start.image, kept[1])
+            for at, sol in zip((factor * lam, lam), solve_lasso_path(A, y, [factor * lam, lam],
+                                                                     tol=tol)):
+                assert sol.converged
+                assert_certificate(A, y, sol, at, tol)
+                oracle = coordinate_descent(A, y, at)
+                assert np.max(np.abs(sol.x_hat - oracle)) < 1e-8
+                assert sol.cost <= lasso_cost(A, y, oracle, at) + 1e-12
 
     def test_image_and_cost_come_from_a_direct_product(self):
         A, y = small_instance(2, n=20, N=40, k=5)
-        for start in (None, solve_lasso(A, y, 0.1)):
-            sol = solve_lasso(A, y, 0.05, start=start)
-            assert np.array_equal(sol.image, A @ sol.x_hat)
-            assert np.array_equal(sol.gradient, A.T @ (y - sol.image))
-            assert sol.cost == lasso_cost(A, y, sol.x_hat, 0.05)
+        cold = solve_lasso(A, y, 0.05)
+        for sol in (cold, solve_lasso_path(A, y, [0.1, 0.05])[1]):
+            assert_certificate(A, y, sol, 0.05, 1e-8)
+        # the same columns in another order give the same solution, within the certificate
+        flip = solve_lasso(A[:, ::-1].copy(), y, 0.05)
+        assert np.max(np.abs(flip.x_hat[::-1] - cold.x_hat)) < 1e-8
 
     def test_products_two_per_step_one_per_check(self, monkeypatch, finishes):
-        # the start brings its image and its gradient, so it costs no product,
-        # and its first step needs no product for its gradient
+        # a start brings its image and its gradient, so each penalty's first
+        # step needs no product for its gradient, and its last check is its
+        # certificate; the path computes A^T y once
         monkeypatch.setattr(lasso, "np", _KeepSubclass())
         checks = []
         real = lasso._kkt_violation
         monkeypatch.setattr(lasso, "_kkt_violation",
                             lambda g, x, lam: checks.append(1) or real(g, x, lam))
         A, y = small_instance(2, n=20, N=40, k=5)
-        start = solve_lasso(A, y, 0.1, tol=1e-11)
-        checks.clear()
-        finishes.clear()
         CountingArray.products = 0
-        sol = solve_lasso(A.view(CountingArray), y, 0.05, tol=1e-11, start=start)
-        assert sol.converged and sol.iterations > 10
-        assert CountingArray.products == 2 * sol.iterations + len(checks)
-        assert len(checks) == sol.iterations // 10 + 1
+        path = solve_lasso_path(A.view(CountingArray), y, [0.1, 0.05, 0.02], tol=1e-11)
+        assert all(sol.converged and sol.iterations > 10 for sol in path)
+        assert CountingArray.products == (1 + sum(2 * sol.iterations - 1 for sol in path)
+                                          + len(checks))
+        assert len(checks) == sum(sol.iterations // 10 for sol in path)
         assert sum(steps for *_, steps, _ in finishes) > 0
 
     def test_finish_runs_from_the_first_failed_check(self, monkeypatch):
-        # a cold solve waits for two checks with one signed support; a warm
+        # a cold penalty waits for two checks with one signed support; a warm
         # one starts its finish at the first check that fails
         checks, first = [], []
         real = lasso._kkt_violation
@@ -325,37 +352,51 @@ class TestWarmStart:
         finish = lasso._cg_finish
         monkeypatch.setattr(lasso, "_cg_finish",
                             lambda *args: first.append(len(checks)) or finish(*args))
+        penalty = lasso._solve_penalty
+        monkeypatch.setattr(lasso, "_solve_penalty",
+                            lambda *args: checks.clear() or first.clear() or penalty(*args))
         A, y = small_instance(2, n=20, N=40, k=5)
-        start = solve_lasso(A, y, 0.1, tol=1e-11)
-        for begin in (None, start):
-            checks.clear()
-            first.clear()
-            sol = solve_lasso(A, y, 0.05, tol=1e-11, start=begin)
+        for lams in ([0.05], [0.1, 0.05]):
+            sol = solve_lasso_path(A, y, lams, tol=1e-11)[-1]
             assert sol.converged and sol.iterations > 10
-            assert (first[0] == 1) == (begin is start) and first[0] >= 1
+            # first holds the last penalty's finishes
+            assert (first[0] == 1) == (len(lams) == 2) and first[0] >= 1
 
     def test_start_at_the_same_penalty_returns_at_the_first_check(self):
         A, y = small_instance(2, n=20, N=40, k=5)
-        done = solve_lasso(A, y, 0.05, tol=1e-11)
-        again = solve_lasso(A, y, 0.05, tol=1e-11, start=done)
+        done, again = solve_lasso_path(A, y, [0.05, 0.05], tol=1e-11)
         assert again.converged and again.iterations == 10
         assert np.max(np.abs(again.x_hat - done.x_hat)) < 1e-10
 
-    def test_start_of_another_shape_rejected(self):
+    def test_path_passes_on_only_certified_solutions(self, monkeypatch):
         A, y = small_instance(2, n=20, N=40, k=5)
-        start = solve_lasso(A, y, 0.1)
-        for bad in (replace(start, x_hat=start.x_hat[:-1]),
-                    replace(start, image=np.append(start.image, 0.0)),
-                    replace(start, gradient=start.gradient[:-1]),
-                    solve_lasso(A[:, :30], y, 0.1),
-                    solve_lasso(A[:15], y[:15], 0.1)):
-            with pytest.raises(ValueError, match="start"):
-                solve_lasso(A, y, 0.05, start=bad)
+        tol = 1e-11
+        received = penalty_spy(monkeypatch, capped=(0.07,))
+        first, capped, last = solve_lasso_path(A, y, [0.1, 0.07, 0.05], tol=tol)
+        assert first.converged and not capped.converged and last.converged
+        # the unconverged penalty passes nothing on
+        for lam in (0.07, 0.05):
+            start, warm = received[lam]
+            assert warm and all(u is v for u, v in zip(start, (first.x_hat, first.image,
+                                                               first.gradient)))
+        skipped = solve_lasso_path(A, y, [0.1, 0.05], tol=tol)[1]
+        assert np.max(np.abs(last.x_hat - skipped.x_hat)) < 1e-9
+        assert_certificate(A, y, last, 0.05, tol)
+
+    def test_path_whose_first_penalty_fails_starts_the_next_cold(self, monkeypatch):
+        A, y = small_instance(2, n=20, N=40, k=5)
+        received = penalty_spy(monkeypatch, capped=(0.1,))
+        failed, sol = solve_lasso_path(A, y, [0.1, 0.05], tol=1e-11)
+        assert not failed.converged and failed.iterations == 1 and sol.converged
+        (x_hat, image, gradient), warm = received[0.05]
+        assert received[0.1][0] is received[0.05][0] and not warm
+        assert not x_hat.any() and not image.any() and np.array_equal(gradient, A.T @ y)
+        assert np.max(np.abs(sol.x_hat - coordinate_descent(A, y, 0.05))) < 1e-8
 
 
 @pytest.fixture
 def moved(monkeypatch):
-    """The number of columns out of place at each restore of the working set."""
+    """The number of columns out of place at each restore of the working set: one per path."""
     log = []
     real = lasso._Front.restore
 
@@ -368,41 +409,45 @@ def moved(monkeypatch):
 
 
 class TestMatrixLeftAsFound:
-    """The working set moves A's columns in place; every exit puts them back bit for bit."""
+    """The working set moves A's columns in place; every exit puts them back bit for bit, once."""
 
     @pytest.mark.parametrize("max_iter", [50_000, 25])
     def test_converged_and_capped_solves(self, moved, max_iter):
         A, y = small_instance(2, n=20, N=40, k=5)
         kept = A.copy()
-        start = solve_lasso(A, y, 0.1, tol=1e-11, max_iter=max_iter)
-        assert max(moved) > 0 and A.tobytes() == kept.tobytes()
-        moved.clear()
-        sol = solve_lasso(A, y, 0.05, tol=1e-11, max_iter=max_iter, start=start)
-        assert max(moved) > 0 and A.tobytes() == kept.tobytes()
-        assert sol.converged == (max_iter == 50_000)
+        path = solve_lasso_path(A, y, [0.1, 0.05], tol=1e-11, max_iter=max_iter)
+        assert len(moved) == 1 and moved[0] > 0 and A.tobytes() == kept.tobytes()
+        assert [sol.converged for sol in path] == [max_iter == 50_000] * 2
 
     def test_nan_data(self, moved):
         A, y = small_instance(4, n=20, N=40, k=5)
         A[:, 3] = np.nan
         kept = A.copy()
-        sol = solve_lasso(A, y, 0.1)
-        assert not sol.converged and np.isnan(sol.kkt_residual) and sol.iterations == 10
-        assert moved[0] > 0 and A.tobytes() == kept.tobytes()
+        path = solve_lasso_path(A, y, [0.1, 0.05])
+        for sol in path:
+            assert not sol.converged and np.isnan(sol.kkt_residual) and sol.iterations == 10
+        assert len(moved) == 1 and moved[0] > 0 and A.tobytes() == kept.tobytes()
 
-    def test_finish_that_raises(self, monkeypatch):
+    def test_finish_that_raises(self, monkeypatch, moved):
         A, y = small_instance(2, n=20, N=40, k=5)
         kept = A.copy()
         during = []
+        real = lasso._cg_finish
 
-        def boom(*args):
-            during.append(A.tobytes() != kept.tobytes())
-            raise RuntimeError("boom")
+        def boom(A_W, lam, *args):
+            # the second penalty's first finish raises, after the first penalty
+            if lam == 0.05:
+                during.append(A.tobytes() != kept.tobytes())
+                raise RuntimeError("boom")
+            return real(A_W, lam, *args)
 
         monkeypatch.setattr(lasso, "_cg_finish", boom)
+        received = penalty_spy(monkeypatch)
         with pytest.raises(RuntimeError, match="boom"):
-            solve_lasso(A, y, 0.05, tol=1e-11)
+            solve_lasso_path(A, y, [0.1, 0.05], tol=1e-11)
+        assert list(received) == [0.1, 0.05]
         assert during == [True]  # the finish ran on moved columns
-        assert A.tobytes() == kept.tobytes()
+        assert len(moved) == 1 and A.tobytes() == kept.tobytes()
 
     def test_read_only_matrix_rejected_before_any_move(self, monkeypatch):
         A, y = small_instance(2, n=20, N=40, k=5)
@@ -413,20 +458,12 @@ class TestMatrixLeftAsFound:
             solve_lasso(A, y, 0.05)
         assert calls == []
 
-    def test_certificate_that_misses_tol_resumes_the_solve(self, monkeypatch, moved):
-        # the check before the certificate passes (here forced): the
-        # certificate, from fresh products on the restored A, decides
+    def test_invalid_penalty_anywhere_in_the_path_rejected_before_any_solve(self, monkeypatch):
         A, y = small_instance(2, n=20, N=40, k=5)
-        kept = A.copy()
-        checks = []
-        real = lasso._kkt_violation
-        monkeypatch.setattr(lasso, "_kkt_violation", lambda g, x, lam: checks.append(1) or (
-            0.0 if len(checks) == 1 else real(g, x, lam)))
-        sol = solve_lasso(A, y, 0.05, tol=1e-11)
-        assert sol.converged and sol.iterations > 10
-        assert_fresh_certificate(A, y, sol, 0.05, 1e-11)
-        # two passes, each on moved columns: before the certificate and after it
-        assert sum(count > 0 for count in moved) == 2 and A.tobytes() == kept.tobytes()
+        received = penalty_spy(monkeypatch)
+        with pytest.raises(ValueError, match=r"\blambda\b"):
+            solve_lasso_path(A, y, [0.1, 0.05, np.nan])
+        assert received == {}
 
 
 class TestOptimalityStructure:
@@ -443,7 +480,7 @@ class TestOptimalityStructure:
         sol = solve_lasso(A, y, 0.2, tol=1e-10)
         assert sol.kkt_residual <= 1e-10
         assert sol.converged
-        assert_allclose(kkt_residual(A, y, sol.x_hat, 0.2), sol.kkt_residual, rtol=1e-12)
+        assert abs(kkt_residual(A, y, sol.x_hat, 0.2) - sol.kkt_residual) <= ROUNDING
 
     def test_cost_beats_random_perturbations(self):
         A, y = small_instance(23)
