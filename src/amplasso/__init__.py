@@ -18,7 +18,7 @@ from .errors import AmplassoError, ConsistencyError, ConvergenceError, Divergenc
 from .experiments import (ExperimentConfig, ExperimentRecord, MinimumLambdaResult,
                           dump_se_curves, minimum_lambda, run_sweep, write_records_csv)
 from .instances import Instance, generate, singular_edge_check
-from .lasso import LassoSolution, solve_lasso, solve_lasso_path, spectral_norm
+from .lasso import LassoSolution, solve_lasso, solve_lasso_path
 from .scalars import (Prior, cross_mse_functional, eta_prime_expectation,
                       get_preset, l1_expectation, mse_functional, soft_threshold)
 from .state_evolution import (PredictionBundle, SEParams, alpha_min, calibrate_lambda,
@@ -34,7 +34,7 @@ __all__ = [
     "alpha_min", "fixed_point", "se_derivative", "calibrate_lambda",
     "invert_calibration", "predicted_risk", "two_time_recursion",
     "Instance", "generate", "singular_edge_check",
-    "LassoSolution", "solve_lasso", "solve_lasso_path", "spectral_norm",
+    "LassoSolution", "solve_lasso", "solve_lasso_path",
     "AmpState", "AmpDiagnostics", "run_amp", "run_amp_grid",
     "ExperimentConfig", "ExperimentRecord", "MinimumLambdaResult", "run_sweep",
     "write_records_csv", "dump_se_curves", "minimum_lambda",

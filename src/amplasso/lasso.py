@@ -116,11 +116,6 @@ def _kkt_violation(g, x, lam):
     return float(np.max(worst, initial=0.0))
 
 
-def spectral_norm(A):
-    """Largest singular value of A, from NumPy's full SVD."""
-    return float(np.linalg.norm(A, 2))
-
-
 class _Front:
     """The working set W, kept as the column prefix A[:, :m] inside A's own buffer.
 

@@ -16,17 +16,19 @@ the certificate vanishes as the iteration converges.
 import numpy as np
 import pytest
 
-from amplasso.amp import _ACTIVE_GAMMA, amp_step, initial_state, run_amp, run_amp_grid
+from amplasso.amp import _ACTIVE_GAMMA, run_amp, run_amp_grid
 from amplasso.instances import generate, singular_edge_check
-from amplasso.lasso import solve_lasso
+from amplasso.lasso import solve_lasso, solve_lasso_path
 from amplasso.scalars import (Prior, cross_mse_functional, eta_prime_expectation,
-                              get_preset, mse_functional, soft_threshold)
+                              mse_functional, soft_threshold)
 from amplasso.state_evolution import (SEParams, alpha_min, calibrate_lambda,
                                       fixed_point, invert_calibration,
                                       predicted_risk, se_derivative, se_map,
                                       two_time_recursion)
 
-PARAMS = SEParams(delta=0.64, sigma2=0.2, prior=get_preset("three_point_0.064"))
+from oracles import (FIG4, bisect_alpha_min, coordinate_descent, edge_gap, iterate_from,
+                     replay_stack, small_instance)
+
 LAMBDAS = tuple(round(0.2 * k, 1) for k in range(1, 11))
 SEEDS = tuple(range(20))
 N_CELLS = 2000
@@ -49,21 +51,9 @@ def _draw_param_sets(seed, count):
     return out
 
 
-def _iterate_from(params, alpha, tau2, cap=10_000):
-    """tau_0^2 = tau2, tau_1^2, ... of the map, cut where fixed_point's stop rule holds."""
-    seq = [tau2, se_map(params, tau2, alpha * np.sqrt(tau2))]
-    residual_tol = 1e-10 / max(1.0, params.delta)
-    while len(seq) <= cap:
-        seq.append(se_map(params, seq[-1], alpha * np.sqrt(seq[-1])))
-        prev, cur, after = seq[-3:]
-        if abs(cur - prev) <= 1e-12 * max(1.0, abs(prev)) and abs(after - cur) <= residual_tol:
-            return seq[:-1]
-    raise AssertionError(f"no fixed point within {cap} steps from tau2={tau2}")
-
-
 @pytest.fixture(scope="session")
 def predictions():
-    return {lam: predicted_risk(PARAMS, lam) for lam in LAMBDAS}
+    return {lam: predicted_risk(FIG4, lam) for lam in LAMBDAS}
 
 
 @pytest.fixture(scope="session")
@@ -72,30 +62,30 @@ def gaussian_cells(predictions):
 
     Keeps scalars only: the per-seed matrices are 20 MB each and transient;
     each is drawn once and shared by all penalties, as the sweep harness
-    does. AMP runs every penalty of a seed as one run_amp_grid stack, the
-    sweep harness's path, with the residual threshold policy for 100 steps
-    and no early stop, which is the configuration the sweep harness uses
-    against the per-instance optimum.
+    does. The reference solves run on the sweep's penalty path: one
+    solve_lasso_path per seed, largest penalty first, each penalty warm
+    started from the previous one's certified solution. AMP runs every
+    penalty of a seed as one run_amp_grid stack, the sweep harness's path,
+    with the residual threshold policy for 100 steps and no early stop,
+    which is the configuration the sweep harness uses against the
+    per-instance optimum.
     """
     cells = []
     alphas = [predictions[lam].alpha for lam in LAMBDAS]
     for seed in SEEDS:
-        inst = generate(PARAMS, N_CELLS, "gaussian", seed)
-        sols = [solve_lasso(inst.A, inst.y, lam, tol=1e-8) for lam in LAMBDAS]
+        inst = generate(FIG4, N_CELLS, "gaussian", seed)
+        sols = solve_lasso_path(inst.A, inst.y, LAMBDAS[::-1], tol=1e-8)[::-1]
         assert all(sol.converged for sol in sols)
         # stop_tol = 0 disables the iterate-change stop, so every row runs
         # the full 100 steps even after an exact plateau
-        finals, diag_rows = zip(*run_amp_grid(inst, PARAMS, LAMBDAS, alphas, t_max=100,
+        finals, diag_rows = zip(*run_amp_grid(inst, FIG4, LAMBDAS, alphas, t_max=100,
                                               stop_tol=0.0, threshold_policy="residual"))
         # the whole stack replayed with its recorded thresholds repeats the
         # run bit for bit; its near-boundary sets for t = 30 .. 100
-        state = initial_state(inst.y, N_CELLS, rows=len(LAMBDAS))
         masks = []
-        for t in range(100):
-            theta = np.array([diags[t].theta for diags in diag_rows])
-            state = amp_step(state, inst.A, inst.y, theta)
-            if t + 1 >= 30:
-                masks.append(np.abs((state.pre - state.x) / theta[:, None]) >= 1.0 - _ACTIVE_GAMMA)
+        for t, (state, near) in enumerate(replay_stack(inst, diag_rows), start=1):
+            if t >= 30:
+                masks.append(near)
         assert np.array_equal(state.x, [final.x for final in finals])
         for row, (lam, sol, final, diags) in enumerate(zip(LAMBDAS, sols, finals, diag_rows)):
             M = np.array([mask[row] for mask in masks])
@@ -121,9 +111,9 @@ def gaussian_cells(predictions):
 def rademacher_mse():
     out = {lam: [] for lam in LAMBDAS}
     for seed in SEEDS:
-        inst = generate(PARAMS, N_CELLS, "rademacher", seed)
-        for lam in LAMBDAS:
-            sol = solve_lasso(inst.A, inst.y, lam, tol=1e-8)
+        inst = generate(FIG4, N_CELLS, "rademacher", seed)
+        sols = solve_lasso_path(inst.A, inst.y, LAMBDAS[::-1], tol=1e-8)[::-1]
+        for lam, sol in zip(LAMBDAS, sols):
             assert sol.converged
             out[lam].append(float(np.mean((sol.x_hat - inst.x0) ** 2)))
     return out
@@ -171,8 +161,8 @@ def test_criterion_04_state_evolution_tracking():
     z_runs, mse_runs = [], []
     theta = tau2 = None
     for seed in SEEDS:
-        inst = generate(PARAMS, N_CELLS, "gaussian", seed)
-        _, diags = run_amp(inst, PARAMS, lam, t_max=t_max, stop_tol=0.0,
+        inst = generate(FIG4, N_CELLS, "gaussian", seed)
+        _, diags = run_amp(inst, FIG4, lam, t_max=t_max, stop_tol=0.0,
                            threshold_policy="se")
         assert diags[0].t == 1 and diags[-1].t == t_max
         z_runs.append([d.z_norm2_over_n for d in diags])
@@ -181,14 +171,14 @@ def test_criterion_04_state_evolution_tracking():
             # row with t == s carries theta_{s-1} (the threshold that made
             # x^s) and tau_s^2, so prepend the recursion's starting value
             theta = [d.theta for d in diags]
-            tau2 = [PARAMS.tau2_init] + [d.tau2_se for d in diags]
+            tau2 = [FIG4.tau2_init] + [d.tau2_se for d in diags]
     z_avg = np.mean(z_runs, axis=0)
     mse_avg = np.mean(mse_runs, axis=0)
     worst = 0.0
     for s in range(1, 21):
         worst = max(worst, abs(z_avg[s - 1] - tau2[s]) / tau2[s])
     for s in range(21):
-        pred = mse_functional(PARAMS.prior, float(np.sqrt(tau2[s])), theta[s])
+        pred = mse_functional(FIG4.prior, float(np.sqrt(tau2[s])), theta[s])
         worst = max(worst, abs(mse_avg[s] - pred) / pred)
     ok = worst < 0.05
     _line(4, ok, f"residual power and signal MSE track the scalar recursion, "
@@ -235,26 +225,11 @@ def test_criterion_06_calibration_round_trip():
 
 
 def test_criterion_07_alpha_min():
-    def gap(alpha, delta):
-        from scipy.stats import norm
-        return ((1 + alpha ** 2) * norm.cdf(-alpha)
-                - alpha * norm.pdf(alpha) - delta / 2)
-
-    def bisect_oracle(delta):
-        lo, hi = 0.0, 10.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if gap(mid, delta) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
     worst_res = worst_dev = 0.0
     for delta in (0.1, 0.3, 0.64, 0.9):
         root = alpha_min(delta)
-        worst_res = max(worst_res, abs(gap(root, delta)))
-        worst_dev = max(worst_dev, abs(root - bisect_oracle(delta)))
+        worst_res = max(worst_res, abs(edge_gap(root, delta)))
+        worst_dev = max(worst_dev, abs(root - bisect_alpha_min(delta)))
     ok = worst_res <= 1e-12 and worst_dev <= 1e-10
     _line(7, ok, f"defining equation residual {worst_res:.2e} (bound 1e-12), "
                  f"vs bisection oracle {worst_dev:.2e} (bound 1e-10)")
@@ -262,7 +237,7 @@ def test_criterion_07_alpha_min():
 
 
 def test_criterion_08_fixed_point_properties():
-    cases = [(PARAMS, 1.0), (PARAMS, 2.0), (PARAMS, 3.5)]
+    cases = [(FIG4, 1.0), (FIG4, 2.0), (FIG4, 3.5)]
     for params in _draw_param_sets(31, 2):
         cases.append((params, alpha_min(params.delta) + 1.0))
     rng = np.random.default_rng(5)
@@ -272,7 +247,7 @@ def test_criterion_08_fixed_point_properties():
         base = fixed_point(params, alpha)
         for _ in range(10):
             t20 = float(rng.uniform(0.005, 5.0 * base))
-            traj = _iterate_from(params, alpha, t20)
+            traj = iterate_from(params, alpha, t20)
             diffs = np.diff(traj)
             assert np.all(diffs >= -1e-13) or np.all(diffs <= 1e-13)
             assert abs(traj[-1] - base) <= 1e-9 * base
@@ -292,16 +267,16 @@ def test_criterion_08_fixed_point_properties():
 def test_criterion_09_two_time_recursion():
     # the smallest grid penalty mixes slowest, keeping the adjacent-time gap
     # above the quadrature noise floor through t=50
-    alpha = invert_calibration(PARAMS, 0.2)
+    alpha = invert_calibration(FIG4, 0.2)
     T = 51
-    R = two_time_recursion(PARAMS, alpha, T)
-    tau2 = PARAMS.sigma2 + PARAMS.prior.second_moment / PARAMS.delta
+    R = two_time_recursion(FIG4, alpha, T)
+    tau2 = FIG4.sigma2 + FIG4.prior.second_moment / FIG4.delta
     one_dim = [tau2]
     for _ in range(T):
-        tau2 = se_map(PARAMS, tau2, alpha * np.sqrt(tau2))
+        tau2 = se_map(FIG4, tau2, alpha * np.sqrt(tau2))
         one_dim.append(tau2)
     diag_gap = float(np.max(np.abs(np.diag(R) - np.array(one_dim))))
-    t2_star = fixed_point(PARAMS, alpha)
+    t2_star = fixed_point(FIG4, alpha)
     ts = np.arange(5, 51)
     gaps = np.array([abs(R[t, t + 1] - t2_star) for t in ts])
     assert np.all(gaps > 0)
@@ -356,32 +331,9 @@ def test_criterion_10_monte_carlo():
 
 
 def test_criterion_11_lasso_oracle():
-    def coordinate_descent(A, y, lam, sweeps=200_000, tol=1e-13):
-        n, N = A.shape
-        x = np.zeros(N)
-        r = y.copy()
-        col_sq = (A * A).sum(axis=0)
-        for _ in range(sweeps):
-            biggest = 0.0
-            for j in range(N):
-                old = x[j]
-                c = A[:, j] @ r + col_sq[j] * old
-                new = soft_threshold(c, lam) / col_sq[j]
-                if new != old:
-                    r += A[:, j] * (old - new)
-                    x[j] = new
-                    biggest = max(biggest, abs(new - old))
-            if biggest < tol:
-                break
-        return x
-
     worst = 0.0
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        A = rng.normal(size=(8, 10)) / np.sqrt(8.0)
-        x0 = np.zeros(10)
-        x0[rng.choice(10, 3, replace=False)] = rng.normal(size=3)
-        y = A @ x0 + 0.1 * rng.normal(size=8)
+        A, y = small_instance(seed)
         lam = 0.05 + 0.02 * seed
         ours = solve_lasso(A, y, lam, tol=1e-11)
         worst = max(worst, float(np.max(np.abs(ours.x_hat
@@ -400,8 +352,8 @@ def test_criterion_12_ensemble_sanity():
     worst_col = 0.0
     for ensemble in ("gaussian", "rademacher"):
         for seed in (0, 1):
-            inst = generate(PARAMS, N_CELLS, ensemble, seed)
-            smax, smin, passed = singular_edge_check(inst.A, PARAMS.delta)
+            inst = generate(FIG4, N_CELLS, ensemble, seed)
+            smax, smin, passed = singular_edge_check(inst.A, FIG4.delta)
             assert passed, (ensemble, seed, smax, smin)
             norms = np.linalg.norm(inst.A, axis=0)
             worst_col = max(worst_col, float(np.max(np.abs(norms - 1.0))))
@@ -446,7 +398,7 @@ def test_criterion_14_active_set_stabilization(gaussian_cells, predictions):
     worst_rel = 0.0
     for lam in LAMBDAS:
         pred = predictions[lam]
-        limit = eta_prime_expectation(PARAMS.prior,
+        limit = eta_prime_expectation(FIG4.prior,
                                       float(np.sqrt(pred.tau2_star)),
                                       (1 - _ACTIVE_GAMMA) * pred.theta_star)
         avg = np.mean([c["s100_frac"] for c in gaussian_cells

@@ -12,11 +12,9 @@ from amplasso.amp import _ACTIVE_GAMMA, amp_step, initial_state, run_amp, run_am
 from amplasso.errors import ConsistencyError, DivergenceError
 from amplasso.instances import Instance, generate
 from amplasso.lasso import solve_lasso
-from amplasso.scalars import get_preset
-from amplasso.state_evolution import (SEParams, invert_calibration, predicted_risk,
-                                      se_map)
+from amplasso.state_evolution import invert_calibration, predicted_risk, se_map
 
-FIG4 = SEParams(delta=0.64, sigma2=0.2, prior=get_preset("three_point_0.064"))
+from oracles import FIG4, CountingArray, replay_stack
 
 
 def tiny_instance(seed=0, N=300):
@@ -62,18 +60,6 @@ def certificate_norm(A, y, lam, x, pre, theta):
     assert np.max(np.abs(s[on] - np.sign(x[on])), initial=0.0) <= 1e-6
     sg = lam * s - A.T @ (y - A @ x)
     return float(np.linalg.norm(sg)) / math.sqrt(x.shape[0])
-
-
-class CountingArray(np.ndarray):
-    """Counts the matrix products that involve it; results are plain arrays."""
-
-    products = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            CountingArray.products += 1
-        inputs = [a.view(np.ndarray) if isinstance(a, CountingArray) else a for a in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 class TestAmpStep:
@@ -420,11 +406,7 @@ class TestRunAmpGrid:
         alphas = [invert_calibration(FIG4, lam) for lam in GRID]
         runs = run_amp_grid(inst, FIG4, GRID, alphas, t_max=12, stop_tol=0.0,
                             threshold_policy=policy)
-        state = initial_state(inst.y, 200, rows=len(GRID))
-        for t in range(12):
-            theta = np.array([diag[t].theta for _, diag in runs])
-            state = amp_step(state, inst.A, inst.y, theta)
-            near = np.abs((state.pre - state.x) / theta[:, None]) >= 1.0 - _ACTIVE_GAMMA
+        for t, (state, near) in enumerate(replay_stack(inst, [diag for _, diag in runs])):
             assert np.count_nonzero(near, axis=1).tolist() == \
                 [diag[t].active_set_size for _, diag in runs]
         for i, (final, diag) in enumerate(runs):

@@ -24,16 +24,17 @@ from amplasso.experiments import (CurveTables, ExperimentConfig, ExperimentRecor
                                   write_records_csv)
 from amplasso.instances import generate
 from amplasso.lasso import solve_lasso
-from amplasso.scalars import Prior, _mse_slope, get_preset
+from amplasso.scalars import Prior, _mse_slope
 from amplasso.state_evolution import SEParams, alpha_min, fixed_point, predicted_risk, se_map
 
+from oracles import FIG4
+
 SMALL = ExperimentConfig(
-    delta=0.64, sigma2=0.2, prior=get_preset("three_point_0.064"),
+    delta=FIG4.delta, sigma2=FIG4.sigma2, prior=FIG4.prior,
     lambda_grid=(0.6, 1.2), N_list=(120,), seeds=(0, 1),
     ensemble="gaussian", amp_t_max=60, amp_stop_tol=1e-8,
     amp_policy="residual", lasso_tol=1e-8)
 
-FIG4 = SMALL.se_params
 # AMP's measured errors, which depend within rounding on the penalties that share its stack
 AMP_ERRORS = ("mse_amp", "amp_lasso_gap")
 NAN, INF = float("nan"), float("inf")
@@ -326,8 +327,8 @@ class TestRunSweep:
         assert values((1.2, 0.9, 0.6)) == ascending
         assert values((0.9, 1.2, 0.6)) == ascending
 
-    def test_one_draw_spectral_norm_and_no_recalibration_per_instance(self, monkeypatch):
-        calls = {"generate": 0, "spectral_norm": 0, "invert_calibration": 0}
+    def test_one_draw_and_no_recalibration_per_instance(self, monkeypatch):
+        calls = {"generate": 0, "invert_calibration": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -336,15 +337,13 @@ class TestRunSweep:
             return wrapper
 
         monkeypatch.setattr(exps, "generate", counted("generate", exps.generate))
-        monkeypatch.setattr(amplasso.lasso, "spectral_norm",
-                            counted("spectral_norm", amplasso.lasso.spectral_norm))
         monkeypatch.setattr(amplasso.amp, "invert_calibration",
                             counted("invert_calibration", amplasso.amp.invert_calibration))
         records = run_sweep(replace(SMALL, N_list=(120, 150)))
         assert len(records) == 8 and all(r.error == "" for r in records)
         # 2 sizes x 2 seeds; the solver sizes its own step, and AMP takes
         # alpha from the shared prediction
-        assert calls == {"generate": 4, "spectral_norm": 0, "invert_calibration": 0}
+        assert calls == {"generate": 4, "invert_calibration": 0}
         # each instance's draw, penalty path and stacked AMP run are shared by
         # all of its penalties
         for N in (120, 150):

@@ -5,10 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from amplasso.instances import generate, singular_edge_check
-from amplasso.scalars import get_preset
 from amplasso.state_evolution import SEParams
 
-FIG4 = SEParams(delta=0.64, sigma2=0.2, prior=get_preset("three_point_0.064"))
+from oracles import FIG4
 
 
 class TestGenerate:
@@ -87,8 +86,12 @@ class TestSingularEdges:
             assert abs(smin - 0.25) / 0.25 < 0.05
 
     def test_small_systems_report_without_enforcing(self):
-        inst = generate(FIG4, 50, "gaussian", 8)
-        smax, smin, ok = singular_edge_check(inst.A, FIG4.delta)
-        assert ok
-        assert smax > 0 and smin > 0
+        # the Gram matrix's eigenvalues give the SVD's extremes on a wide
+        # (32 x 50), a tall and a one-row matrix
+        wide = generate(FIG4, 50, "gaussian", 8).A
+        for A in (wide, wide.T.copy(), np.random.default_rng(8).normal(size=(1, 50))):
+            smax, smin, ok = singular_edge_check(A, FIG4.delta)
+            assert ok and smin > 0
+            sv = np.linalg.svd(A, compute_uv=False)
+            assert_allclose([smax, smin], [sv[0], sv[-1]], rtol=1e-12)
 

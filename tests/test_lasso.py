@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from amplasso import lasso
-from amplasso.lasso import solve_lasso, solve_lasso_path, spectral_norm
-from amplasso.scalars import soft_threshold
+from amplasso.lasso import solve_lasso, solve_lasso_path
+
+from oracles import CountingArray, coordinate_descent, small_instance
 
 
 def lasso_cost(A, y, x, lam):
@@ -17,38 +18,6 @@ def lasso_cost(A, y, x, lam):
 def kkt_residual(A, y, x, lam):
     """The solver's certificate kernel at x, from a fresh gradient A^T (y - A x)."""
     return lasso._kkt_violation(A.T @ (y - A @ x), x, lam)
-
-
-def coordinate_descent(A, y, lam, sweeps=200_000, tol=1e-13):
-    """Slow but independent: exact single-coordinate minimization in a cycle."""
-    n, N = A.shape
-    x = np.zeros(N)
-    r = y.copy()
-    col_sq = (A * A).sum(axis=0)
-    for _ in range(sweeps):
-        biggest = 0.0
-        for j in range(N):
-            if col_sq[j] == 0.0:
-                continue
-            old = x[j]
-            c = A[:, j] @ r + col_sq[j] * old
-            new = soft_threshold(c, lam) / col_sq[j]
-            if new != old:
-                r += A[:, j] * (old - new)
-                x[j] = new
-                biggest = max(biggest, abs(new - old))
-        if biggest < tol:
-            break
-    return x
-
-
-def small_instance(seed, n=8, N=10, k=3):
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(n, N)) / np.sqrt(n)
-    x0 = np.zeros(N)
-    x0[rng.choice(N, k, replace=False)] = rng.normal(size=k)
-    y = A @ x0 + 0.1 * rng.normal(size=n)
-    return A, y
 
 
 @pytest.fixture
@@ -198,18 +167,6 @@ class TestConjugateGradientFinish:
         assert short.iterations == max_iter
         assert not short.converged
         assert_certificate(A, y, short, 0.05, 1e-11)
-
-
-class CountingArray(np.ndarray):
-    """Counts the matrix products that involve it; results are plain arrays."""
-
-    products = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            CountingArray.products += 1
-        inputs = [a.view(np.ndarray) if isinstance(a, CountingArray) else a for a in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 class _KeepSubclass:
@@ -552,23 +509,6 @@ class TestCertificate:
 
 
 class TestHelpers:
-    def test_spectral_norm_matches_svd(self):
-        rng = np.random.default_rng(2)
-        A = rng.normal(size=(40, 60))
-        assert_allclose(spectral_norm(A), np.linalg.svd(A, compute_uv=False)[0], rtol=1e-8)
-        # the shape of the README instances in both ensembles, to rounding
-        for seed in range(3):
-            rng_A = np.random.default_rng(seed)
-            for A in (rng_A.normal(size=(1280, 2000)),
-                      rng_A.integers(0, 2, (1280, 2000)) * 2.0 - 1.0):
-                A /= np.sqrt(1280)
-                assert_allclose(spectral_norm(A), np.sqrt(np.linalg.eigvalsh(A @ A.T)[-1]),
-                                rtol=1e-14)
-        # rank one or zero
-        for A in (rng.normal(size=(1, 50)), rng.normal(size=(50, 1))):
-            assert_allclose(spectral_norm(A), np.linalg.svd(A, compute_uv=False)[0], rtol=1e-12)
-        assert spectral_norm(np.zeros((8, 10))) == 0.0
-
     def test_single_row_problem(self):
         rng = np.random.default_rng(4)
         A, y = rng.normal(size=(1, 10)), rng.normal(size=1)

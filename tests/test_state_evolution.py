@@ -8,19 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from amplasso import state_evolution
 from amplasso.errors import AmplassoError, ConvergenceError
 from amplasso.scalars import (Prior, cross_mse_functional, eta_prime_expectation,
-                              eta_times_signal_expectation, get_preset, l1_expectation,
-                              mse_functional)
+                              eta_times_signal_expectation, l1_expectation, mse_functional)
 from amplasso.state_evolution import (SEParams, _brent_root, _edge_gap, alpha_min,
                                       calibrate_lambda, fixed_point, invert_calibration,
                                       predicted_risk, se_derivative, se_map, se_sequence,
                                       two_time_recursion)
 
-FIG4 = SEParams(delta=0.64, sigma2=0.2, prior=get_preset("three_point_0.064"))
+from oracles import FIG4, bisect_alpha_min, edge_gap, iterate_from
 
 RANDOM_PARAM_SETS = [
     FIG4,
@@ -29,33 +27,6 @@ RANDOM_PARAM_SETS = [
     SEParams(delta=0.3, sigma2=0.05, prior=Prior((0.0, 3.0), (0.97, 0.03))),
     SEParams(delta=1.5, sigma2=0.25, prior=Prior((-2.0, 0.0, 1.0), (0.1, 0.8, 0.1))),
 ]
-
-
-def bisect_alpha_min(delta, lo=0.0, hi=16.0, iters=200):
-    """Independent oracle: plain bisection on the edge equation."""
-    def gap(a):
-        return (1 + a * a) * ndtr(-a) - a * math.exp(-a * a / 2) / math.sqrt(2 * math.pi) - delta / 2
-    if gap(lo) <= 0:
-        return 0.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def iterate_from(params, alpha, tau2, cap=10_000):
-    """tau_0^2 = tau2, tau_1^2, ... of the map, cut where fixed_point's stop rule holds."""
-    seq = [tau2, se_map(params, tau2, alpha * np.sqrt(tau2))]
-    residual_tol = 1e-10 / max(1.0, params.delta)
-    while len(seq) <= cap:
-        seq.append(se_map(params, seq[-1], alpha * np.sqrt(seq[-1])))
-        prev, cur, after = seq[-3:]
-        if abs(cur - prev) <= 1e-12 * max(1.0, abs(prev)) and abs(after - cur) <= residual_tol:
-            return seq[:-1]
-    raise AssertionError(f"no fixed point within {cap} steps from tau2={tau2}")
 
 
 def bisect_fixed_point(params, alpha, iters=200):
@@ -78,8 +49,7 @@ class TestAlphaMin:
     @pytest.mark.parametrize("delta", [0.1, 0.3, 0.64, 0.9])
     def test_root_equation_and_oracle(self, delta):
         a = alpha_min(delta)
-        gap = (1 + a * a) * ndtr(-a) - a * math.exp(-a * a / 2) / math.sqrt(2 * math.pi)
-        assert abs(gap - delta / 2) < 1e-12
+        assert abs(edge_gap(a, delta)) < 1e-12
         assert abs(a - bisect_alpha_min(delta)) < 1e-10
 
     def test_wide_systems_admit_every_ratio(self):
