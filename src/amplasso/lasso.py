@@ -2,18 +2,15 @@
 
 Minimizes C(x) = 0.5 ||y - A x||^2 + lambda ||x||_1 by accelerated proximal
 gradient (FISTA) with restarts on cost increase, finished by conjugate
-gradients once the signed support has settled, and certified by the KKT
-residual so the returned solution is solver-independent ground truth.
+gradients on the signed support of each failed check, and certified by the
+KKT residual so the returned solution is solver-independent ground truth.
 
 A solve runs a path of penalties on one A and y, in the order given
 (pathwise solving, as in glmnet, Friedman, Hastie & Tibshirani 2010, and
 FPC's continuation, Hale, Yin & Zhang 2008); solve_lasso is the path of one
 penalty. Each penalty starts from the path's last converged solution, and
 at 0 until there is one. The start carries its image A x and its gradient
-A^T (y - A x), which give the penalty's first step with no product. A warm
-start does not wait for two checks to agree before its finish (below):
-its supports are those of nearby minimisers rather than FISTA's transient
-early ones.
+A^T (y - A x), which give the penalty's first step with no product.
 
 The iterate lives on a working set W of columns, outside of which it is 0
 (working sets with KKT checks over all columns: Tibshirani et al. 2012,
@@ -38,19 +35,19 @@ columns moved to its front, so they can differ by rounding from products
 on A in its own order.
 
 The minimiser is fixed by its signed support S, s: given them, x_S solves the
-linear system A_S^T A_S x_S = A_S^T y - lambda s. When two successive KKT
-checks of FISTA see the same signed support, conjugate gradients solve that
-system from the current iterate (the subspace phase of FPC_AS, Wen, Yin,
-Goldfarb & Zhang 2010) for at most 9 of the 10 steps between checks, and
-FISTA continues from where they stop: the point is kept whether or not the
-support was right, since its cost is no higher, and the check that ends the
-block, computed from a fresh gradient at a FISTA iterate, decides. Every
-conjugate-gradient step, like every FISTA step, costs one product with A_W
-and one with A_W^T, and both kinds count as iterations under one cap. A
-penalty of k iterations and c checks makes 2k + c - 1 products, since its
-first step's gradient comes with its start, and the path makes one more:
-the gradient A^T y at 0, computed once before any column moves, which is
-every cold start's gradient.
+linear system A_S^T A_S x_S = A_S^T y - lambda s. After every failed KKT
+check whose signed support has 0 < |S| <= n, on a cold start as on a warm
+one, conjugate gradients solve that system from the checked iterate (the
+subspace phase of FPC_AS, Wen, Yin, Goldfarb & Zhang 2010) for at most 9 of
+the 10 steps between checks, and FISTA continues from where they stop: the
+point is kept whether or not the support was right, since its cost is no
+higher, and the check that ends the block, computed from a fresh gradient
+at a FISTA iterate, decides. Every conjugate-gradient step, like every
+FISTA step, costs one product with A_W and one with A_W^T, and both kinds
+count as iterations under one cap. A penalty of k iterations and c checks
+makes 2k + c - 1 products, since its first step's gradient comes with its
+start, and the path makes one more: the gradient A^T y at 0, computed once
+before any column moves, which is every cold start's gradient.
 
 The step is 1/L for a curvature estimate L that needs no spectral norm
 (the local test of Beck & Teboulle 2009, kept without retries). L starts at
@@ -180,18 +177,16 @@ def _cg_finish(A, lam, tol, x, Ax, g, signs, budget):
     S, s is the signed support `signs` of x, Ax is the image A x and
     g = A^T (y - A x). Each step costs A @ p and A.T @ q with p zero off S, so
     no column of A is copied, and carries Ax and the on-support residual by
-    recurrences. Returns (x, Ax, steps, settled) without touching the inputs:
-    settled is True when the on-support residual reached tol or a step would
-    flip a sign, in which case that step is counted but not taken.
+    recurrences. Returns (x, Ax, steps) without touching the inputs. It
+    stops when the on-support residual reaches tol, after `budget` steps, or
+    at a step that would flip a sign, which is counted but not taken.
     """
     on = signs != 0.0
     rho = np.where(on, g - lam * signs, 0.0)
     p = rho
     rr = float(rho @ rho)
     steps = 0
-    while np.max(np.abs(rho)) > tol:
-        if steps == budget:
-            return x, Ax, steps, False
+    while steps < budget and np.max(np.abs(rho)) > tol:
         q = A @ p
         w = A.T @ q
         steps += 1
@@ -204,10 +199,10 @@ def _cg_finish(A, lam, tol, x, Ax, g, signs, budget):
         rr_next = float(rho @ rho)
         p = rho + (rr_next / rr) * p
         rr = rr_next
-    return x, Ax, steps, True
+    return x, Ax, steps
 
 
-def _solve_penalty(front, y, lam, tol, max_iter, lip, start, warm):
+def _solve_penalty(front, y, lam, tol, max_iter, lip, start):
     """One penalty of a path on `front`, from start = (x_hat, image, gradient) in A's own order.
 
     W grows by the start's support and violators, the steps run on it and
@@ -227,8 +222,6 @@ def _solve_penalty(front, y, lam, tol, max_iter, lip, start, warm):
     step = 1.0 / lip if lip > 0 else 1.0
     tk = tk_prev = 1.0
     cost_prev = _cost(y - image, x_hat, lam)
-    signs_prev = None
-    settled = set()
     it = 0
     while True:
         beta = (tk_prev - 1.0) / tk
@@ -273,27 +266,18 @@ def _solve_penalty(front, y, lam, tol, max_iter, lip, start, warm):
                                  converged=bool(kkt <= tol))
         grown = front.append(np.abs(corr) > lam, corr)
         if grown:
-            # the new coordinates are 0, and stay 0 in every recorded support
+            # x is 0 off W, so the new coordinates enter at 0
             A_W = A[:, :front.m]
             x, x_prev = (np.concatenate((u, np.zeros(grown))) for u in (x, x_prev))
-            if signs_prev is not None:
-                signs_prev = np.concatenate((signs_prev, np.zeros(grown)))
-            settled = {key + bytes(8 * grown) for key in settled}
         signs = np.sign(x)
-        # a cold solve's support is transient until two checks agree; a warm
-        # one starts at a neighbouring penalty's minimiser, so it is not
-        if ((warm or np.array_equal(signs, signs_prev))
-                and 0 < np.count_nonzero(signs) <= n and signs.tobytes() not in settled):
+        if 0 < np.count_nonzero(signs) <= n:
             # the block's last step stays a FISTA step, so the check that
             # ends it sees an image A x computed directly
             budget = min(_KKT_CHECK_EVERY - 1, max_iter - 1 - it)
-            x, Ax, steps, done = _cg_finish(A_W, lam, tol, x, Ax, corr[:front.m], signs, budget)
+            x, Ax, steps = _cg_finish(A_W, lam, tol, x, Ax, corr[:front.m], signs, budget)
             it += steps
-            if done:
-                settled.add(signs.tobytes())
             # the first FISTA step from the finish's point takes no momentum
             x_prev, Ax_prev = x, Ax
-        signs_prev = signs
 
 
 def solve_lasso_path(A, y, lams, tol=1e-8, max_iter=50_000):
@@ -309,21 +293,18 @@ def solve_lasso_path(A, y, lams, tol=1e-8, max_iter=50_000):
     (|gradient_j| > lambda), and the steps multiply only W's columns. The
     KKT residual is checked, by one product with A^T over all columns, when
     the step count reaches a multiple of 10, and at max_iter; a failed
-    check appends its violators to W. When a check fails with the same
-    signed support S, s as the previous check and 0 < |S| <= n, up to 9
-    conjugate-gradient steps on A_S^T A_S x_S = A_S^T y - lambda s start
-    from the checked iterate, and FISTA continues from where they stop, so
-    every check comes from a fresh gradient at a FISTA iterate. A signed
-    support whose finish reached the tolerance or flipped a sign is not
-    solved on again; one that ran out of steps is, from the next check.
+    check appends its violators to W. After every failed check whose
+    signed support S, s has 0 < |S| <= n, up to 9 conjugate-gradient steps
+    on A_S^T A_S x_S = A_S^T y - lambda s start from the checked iterate,
+    and FISTA continues from where they stop, so every check comes from a
+    fresh gradient at a FISTA iterate.
 
     Each penalty starts from the path's last converged solution: FISTA
-    begins at its x_hat with its image, its gradient and no momentum, the
-    first step's cost is compared with the start's cost at this lambda,
-    and a failed check needs no agreeing previous check for its finish.
-    Until a penalty has converged, each penalty starts at 0, with the
-    gradient A^T y that the path computes once, and waits for two checks to
-    agree. A penalty that did not converge passes nothing on.
+    begins at its x_hat with its image, its gradient and no momentum, and
+    the first step's cost is compared with the start's cost at this
+    lambda. Until a penalty has converged, each penalty starts at 0, with
+    the gradient A^T y that the path computes once. A penalty that did not
+    converge passes nothing on.
 
     W's columns are moved to the front of A in place, and A is back in its
     own column order, bit for bit, when the path returns or raises.
@@ -349,14 +330,14 @@ def solve_lasso_path(A, y, lams, tol=1e-8, max_iter=50_000):
     # ||A||_F^2 is the sum of at most min(n, N) squared singular values; the
     # norm of a C-contiguous array reads a raveled view, so A is not copied
     lip = float(np.linalg.norm(A)) ** 2 / min(n, N)
-    start, warm = (np.zeros(N), np.zeros(n), A.T @ y), False
+    start = np.zeros(N), np.zeros(n), A.T @ y
     path = []
     try:
         for lam in lams:
-            sol = _solve_penalty(front, y, lam, tol, max_iter, lip, start, warm)
+            sol = _solve_penalty(front, y, lam, tol, max_iter, lip, start)
             path.append(sol)
             if sol.converged:
-                start, warm = (sol.x_hat, sol.image, sol.gradient), True
+                start = sol.x_hat, sol.image, sol.gradient
         return path
     finally:
         front.restore()

@@ -22,7 +22,7 @@ def kkt_residual(A, y, x, lam):
 
 @pytest.fixture
 def finishes(monkeypatch):
-    """(signs, budget, x, steps, settled) of every conjugate-gradient finish solve_lasso runs.
+    """(signs, budget, x, steps) of every conjugate-gradient finish solve_lasso runs.
 
     The finish sees the working set's coordinates, the column prefix the
     solve has moved to the front of A; signs and x are mapped back to A's
@@ -38,9 +38,9 @@ def finishes(monkeypatch):
 
     def record(A, lam, tol, x, Ax, g, signs, budget):
         out = real(A, lam, tol, x, Ax, g, signs, budget)
-        x_out, _, steps, settled = out
+        x_out, _, steps = out
         front = fronts[-1]
-        log.append((front.scatter(signs), budget, front.scatter(x_out), steps, settled))
+        log.append((front.scatter(signs), budget, front.scatter(x_out), steps))
         return out
 
     monkeypatch.setattr(lasso, "_Front", Recorded)
@@ -87,22 +87,25 @@ class TestConjugateGradientFinish:
     def test_finished_solve_matches_oracle(self, monkeypatch, finishes, seed):
         A, y = small_instance(seed, n=20, N=40, k=5)
         sol = solve_lasso(A, y, 0.05, tol=1e-11)
-        signs, _, _, _, settled = finishes[-1]
-        assert settled and np.array_equal(signs, np.sign(sol.x_hat))
+        # the last finish runs on the minimiser's signed support and reaches
+        # the tolerance within its budget
+        signs, budget, _, steps = finishes[-1]
+        assert steps < budget and np.array_equal(signs, np.sign(sol.x_hat))
         assert_certificate(A, y, sol, 0.05, 1e-11)
         assert np.max(np.abs(sol.x_hat - coordinate_descent(A, y, 0.05))) < 1e-8
         # the same solve with every finish making no step
-        monkeypatch.setattr(lasso, "_cg_finish", lambda A, lam, tol, x, Ax, *_: (x, Ax, 0, True))
+        monkeypatch.setattr(lasso, "_cg_finish", lambda A, lam, tol, x, Ax, *_: (x, Ax, 0))
         assert solve_lasso(A, y, 0.05, tol=1e-11).iterations > 1.5 * sol.iterations
 
     def test_wrong_settled_support_falls_back_to_fista(self, finishes):
-        # FISTA's first settled support here misses a coordinate: conjugate
-        # gradients solve on it to tol, and the check after the block rejects it
+        # the first failed check here sees FISTA's transient signed support,
+        # not the minimiser's: the finish on it stops short of its budget (its
+        # first step would flip a sign), and the check after the block rejects it
         A, y = small_instance(0)
         lam, tol = 0.02, 1e-11
         sol = solve_lasso(A, y, lam, tol=tol)
-        signs, _, x_cg, _, settled = finishes[0]
-        assert settled and not np.array_equal(signs, np.sign(sol.x_hat))
+        signs, budget, x_cg, steps = finishes[0]
+        assert steps < budget and not np.array_equal(signs, np.sign(sol.x_hat))
         assert kkt_residual(A, y, x_cg, lam) > 1e-5
         assert sol.converged
         assert_certificate(A, y, sol, lam, tol)
@@ -110,7 +113,7 @@ class TestConjugateGradientFinish:
 
     # the seeds of 240-299 whose minimiser at lambda = 0.02 fills all n = 8
     # rows; the step bound is set from the eight such seeds of 200-239
-    # (worst 140 steps), which took 200-3430 steps without the square finish
+    # (worst 130 steps), which took 200-3430 steps without the square finish
     @pytest.mark.parametrize("seed", [253, 260, 264, 271, 277, 280, 287, 292])
     def test_square_support_is_finished(self, finishes, seed):
         A, y = small_instance(seed)
@@ -118,7 +121,8 @@ class TestConjugateGradientFinish:
         sol = solve_lasso(A, y, lam, tol=tol)
         signs = np.sign(sol.x_hat)
         assert np.count_nonzero(signs) == A.shape[0]
-        assert any(settled and np.array_equal(s, signs) for s, _, _, _, settled in finishes)
+        assert any(steps < budget and np.array_equal(s, signs)
+                   for s, budget, _, steps in finishes)
         assert sol.converged
         assert_certificate(A, y, sol, lam, tol)
         assert np.max(np.abs(sol.x_hat - coordinate_descent(A, y, lam))) < 1e-8
@@ -136,22 +140,22 @@ class TestConjugateGradientFinish:
         Ax = A @ x
         g = A.T @ (y - Ax)
         start = x.copy(), Ax.copy(), g.copy()
-        x_cg, Ax_cg, steps, settled = lasso._cg_finish(A, lam, tol, x, Ax, g, np.sign(x), 1000)
-        assert settled and steps > 1 and np.array_equal(np.sign(x_cg), np.sign(x))
+        x_cg, Ax_cg, steps = lasso._cg_finish(A, lam, tol, x, Ax, g, np.sign(x), 1000)
+        assert 1 < steps < 1000 and np.array_equal(np.sign(x_cg), np.sign(x))
         assert kkt_residual(A, y, x_cg, lam) > 1e-3
         assert_allclose(Ax_cg, A @ x_cg, rtol=0, atol=1e-14)
         # the true signed support reaches the minimiser from the same start
-        x_cg, _, _, settled = lasso._cg_finish(A, lam, tol, x, Ax, g, np.sign(exact), 1000)
-        assert settled and np.max(np.abs(x_cg - exact)) < 1e-9
-        # out of steps: not settled, and the steps made are the budget
-        assert lasso._cg_finish(A, lam, tol, x, Ax, g, np.sign(exact), 2)[2:] == (2, False)
+        x_cg, _, steps = lasso._cg_finish(A, lam, tol, x, Ax, g, np.sign(exact), 1000)
+        assert steps < 1000 and np.max(np.abs(x_cg - exact)) < 1e-9
+        # out of steps: the steps made are the budget
+        assert lasso._cg_finish(A, lam, tol, x, Ax, g, np.sign(exact), 2)[2] == 2
         # the caller's arrays are untouched
         assert all(np.array_equal(a, b) for a, b in zip((x, Ax, g), start))
 
     def test_steps_count_under_max_iter(self, finishes):
         A, y = small_instance(2, n=20, N=40, k=5)
         sol = solve_lasso(A, y, 0.05, tol=1e-11)
-        assert sum(steps for *_, steps, _ in finishes) > 0
+        assert sum(steps for *_, steps in finishes) > 0
         # finish steps are iterations: with them every block between checks
         # is 10 steps, the last of which is a FISTA step
         assert sol.iterations % 10 == 0
@@ -163,7 +167,7 @@ class TestConjugateGradientFinish:
         max_iter = sol.iterations - 8
         finishes.clear()
         short = solve_lasso(A, y, 0.05, tol=1e-11, max_iter=max_iter)
-        assert finishes[-1][1:2] + finishes[-1][3:] == (1, 1, False)
+        assert finishes[-1][1::2] == (1, 1)
         assert short.iterations == max_iter
         assert not short.converged
         assert_certificate(A, y, short, 0.05, 1e-11)
@@ -198,7 +202,7 @@ class TestStepEstimate:
         # one check per 10 steps and one at the cap
         assert len(checks) == sol.iterations // 10 + (sol.iterations % 10 != 0)
         if max_iter == 50_000:
-            assert sum(steps for *_, steps, _ in finishes) > 0
+            assert sum(steps for *_, steps in finishes) > 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rademacher_and_tall_matrices_match_the_oracle(self, seed):
@@ -244,13 +248,13 @@ def oracle_matrices(seed):
 
 
 def penalty_spy(monkeypatch, capped=()):
-    """{lambda: (start, warm)} of each penalty a path runs; penalties in `capped` stop at 1 step."""
+    """{lambda: start} of each penalty a path runs; penalties in `capped` stop at 1 step."""
     received = {}
     real = lasso._solve_penalty
 
-    def spy(front, y, lam, tol, max_iter, lip, start, warm):
-        received[lam] = start, warm
-        return real(front, y, lam, tol, 1 if lam in capped else max_iter, lip, start, warm)
+    def spy(front, y, lam, tol, max_iter, lip, start):
+        received[lam] = start
+        return real(front, y, lam, tol, 1 if lam in capped else max_iter, lip, start)
 
     monkeypatch.setattr(lasso, "_solve_penalty", spy)
     return received
@@ -297,27 +301,35 @@ class TestWarmStart:
         assert CountingArray.products == (1 + sum(2 * sol.iterations - 1 for sol in path)
                                           + len(checks))
         assert len(checks) == sum(sol.iterations // 10 for sol in path)
-        assert sum(steps for *_, steps, _ in finishes) > 0
+        assert sum(steps for *_, steps in finishes) > 0
 
     def test_finish_runs_from_the_first_failed_check(self, monkeypatch):
-        # a cold penalty waits for two checks with one signed support; a warm
-        # one starts its finish at the first check that fails
+        # cold or warm, a penalty runs a finish right after each failed check
+        # whose signed support has 0 < |S| <= n, its first one included, and
+        # after no other check
+        A, y = small_instance(2, n=20, N=40, k=5)
+        tol = 1e-11
         checks, first = [], []
         real = lasso._kkt_violation
-        monkeypatch.setattr(lasso, "_kkt_violation",
-                            lambda g, x, lam: checks.append(1) or real(g, x, lam))
+
+        def check(g, x, lam):
+            kkt = real(g, x, lam)
+            checks.append(kkt > tol and 0 < np.count_nonzero(x) <= A.shape[0])
+            return kkt
+
+        monkeypatch.setattr(lasso, "_kkt_violation", check)
         finish = lasso._cg_finish
         monkeypatch.setattr(lasso, "_cg_finish",
                             lambda *args: first.append(len(checks)) or finish(*args))
         penalty = lasso._solve_penalty
         monkeypatch.setattr(lasso, "_solve_penalty",
                             lambda *args: checks.clear() or first.clear() or penalty(*args))
-        A, y = small_instance(2, n=20, N=40, k=5)
         for lams in ([0.05], [0.1, 0.05]):
-            sol = solve_lasso_path(A, y, lams, tol=1e-11)[-1]
+            sol = solve_lasso_path(A, y, lams, tol=tol)[-1]
             assert sol.converged and sol.iterations > 10
-            # first holds the last penalty's finishes
-            assert (first[0] == 1) == (len(lams) == 2) and first[0] >= 1
+            # checks and first hold the last penalty's
+            assert first[0] == checks.index(True) + 1
+            assert first == [i + 1 for i, due in enumerate(checks) if due]
 
     def test_start_at_the_same_penalty_returns_at_the_first_check(self):
         A, y = small_instance(2, n=20, N=40, k=5)
@@ -333,9 +345,8 @@ class TestWarmStart:
         assert first.converged and not capped.converged and last.converged
         # the unconverged penalty passes nothing on
         for lam in (0.07, 0.05):
-            start, warm = received[lam]
-            assert warm and all(u is v for u, v in zip(start, (first.x_hat, first.image,
-                                                               first.gradient)))
+            assert all(u is v for u, v in zip(received[lam], (first.x_hat, first.image,
+                                                              first.gradient)))
         skipped = solve_lasso_path(A, y, [0.1, 0.05], tol=tol)[1]
         assert np.max(np.abs(last.x_hat - skipped.x_hat)) < 1e-9
         assert_certificate(A, y, last, 0.05, tol)
@@ -345,8 +356,8 @@ class TestWarmStart:
         received = penalty_spy(monkeypatch, capped=(0.1,))
         failed, sol = solve_lasso_path(A, y, [0.1, 0.05], tol=1e-11)
         assert not failed.converged and failed.iterations == 1 and sol.converged
-        (x_hat, image, gradient), warm = received[0.05]
-        assert received[0.1][0] is received[0.05][0] and not warm
+        x_hat, image, gradient = received[0.05]
+        assert received[0.1] is received[0.05]
         assert not x_hat.any() and not image.any() and np.array_equal(gradient, A.T @ y)
         assert np.max(np.abs(sol.x_hat - coordinate_descent(A, y, 0.05))) < 1e-8
 
