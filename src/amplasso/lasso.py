@@ -1,7 +1,7 @@
 """Reference solver for the l1-penalized least-squares problem.
 
 Minimizes C(x) = 0.5 ||y - A x||^2 + lambda ||x||_1 by accelerated proximal
-gradient (FISTA) with restarts on cost increase, finished by conjugate
+gradient (FISTA) with gradient restarts, finished by conjugate
 gradients on the signed support of each failed check, and certified by the
 KKT residual so the returned solution is solver-independent ground truth.
 
@@ -29,8 +29,8 @@ read-only A is rejected.
 Each penalty is certified by its own last check, the one that ends it at a
 KKT residual of at most tol or at max_iter: the returned image is the last
 FISTA step's direct product A_W x, the gradient is that check's A^T (y -
-image) over all columns, put back in A's own order, and the cost and the
-KKT residual are computed from them. Both products ran on A with W's
+image) over all columns, put back in A's own order, and the KKT residual
+is computed from them. Both products ran on A with W's
 columns moved to its front, so they can differ by rounding from products
 on A in its own order.
 
@@ -57,7 +57,9 @@ new iterate is tested against it: the cost's smooth part is quadratic, so
 the step is a majorisation step exactly when ||A d||^2 <= L ||d||^2, and
 A d = A x_new - A v is a difference of images the loop already holds. A
 step that fails the test is kept, L doubles for the steps after it and the
-momentum restarts, as after a cost increase. L can double at most
+momentum restarts, as after a step with d . (x_new - x) < 0 (the gradient
+restart of O'Donoghue & Candes 2015, which needs no objective value, so
+y - A x is formed only at a check). L can double at most
 ceil(log2(min(n, N))) times before it reaches sigma_max^2, which bounds
 every sigma_max(A_W)^2, after which no test fails, and the KKT certificate
 decides convergence either way. An all-zero A keeps step 1.
@@ -83,22 +85,15 @@ class LassoSolution:
     x_hat and gradient are in A's own column order. image is A @ x_hat from
     the last FISTA step and gradient is that check's A.T @ (y - image), both
     direct products on A with the working set's columns moved to its front;
-    kkt_residual and cost are computed from them, and converged is
-    kkt_residual <= tol.
+    kkt_residual is computed from them, and converged is kkt_residual <= tol.
     """
 
     x_hat: np.ndarray
     image: np.ndarray
     gradient: np.ndarray
-    cost: float
     kkt_residual: float
     iterations: int
     converged: bool
-
-
-def _cost(r, x, lam):
-    """C(x) = 0.5 ||y - A x||^2 + lambda ||x||_1, given the residual r = y - A x."""
-    return float(0.5 * np.dot(r, r) + lam * np.sum(np.abs(x)))
 
 
 def _kkt_violation(g, x, lam):
@@ -221,7 +216,6 @@ def _solve_penalty(front, y, lam, tol, max_iter, lip, start):
     g = -gradient[W]
     step = 1.0 / lip if lip > 0 else 1.0
     tk = tk_prev = 1.0
-    cost_prev = _cost(y - image, x_hat, lam)
     it = 0
     while True:
         beta = (tk_prev - 1.0) / tk
@@ -239,20 +233,19 @@ def _solve_penalty(front, y, lam, tol, max_iter, lip, start):
         if curved:
             lip *= 2.0
             step = 1.0 / lip
-        r = y - Ax_new
-        cost = _cost(r, x_new, lam)
-        if curved or cost > cost_prev:
+        # the gradient restart of the module docstring
+        if curved or float(np.dot(d, x_new - x)) < 0.0:
             tk = tk_prev = 1.0
         else:
             tk_prev, tk = tk, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         x_prev, x = x, x_new
         Ax_prev, Ax = Ax, Ax_new
-        cost_prev = cost
         it += 1
         # checks fall on multiples of 10, since a finish never crosses one;
         # the loop always ends on a check: at convergence or at max_iter
         if it % _KKT_CHECK_EVERY and it < max_iter:
             continue
+        r = y - Ax
         corr = A.T @ r
         kkt = _kkt_violation(corr, np.concatenate((x, np.zeros(N - front.m))), lam)
         # a NaN residual ends the solve uncertified: a NaN iterate stays NaN
@@ -261,9 +254,8 @@ def _solve_penalty(front, y, lam, tol, max_iter, lip, start):
             gradient = np.empty(N)
             gradient[front.order] = corr
             # kkt, a maximum over the coordinates, is the same in A's own order
-            return LassoSolution(x_hat=x_hat, image=Ax, gradient=gradient,
-                                 cost=_cost(r, x_hat, lam), kkt_residual=kkt, iterations=it,
-                                 converged=bool(kkt <= tol))
+            return LassoSolution(x_hat=x_hat, image=Ax, gradient=gradient, kkt_residual=kkt,
+                                 iterations=it, converged=bool(kkt <= tol))
         grown = front.append(np.abs(corr) > lam, corr)
         if grown:
             # x is 0 off W, so the new coordinates enter at 0
@@ -288,7 +280,8 @@ def solve_lasso_path(A, y, lams, tol=1e-8, max_iter=50_000):
     L the curvature estimate of the module docstring: it starts at
     ||A||_F^2 / min(n, N) and doubles after each step with
     ||A d||^2 > L ||d||^2, and the momentum resets after such a step and
-    whenever the cost increases. The iterate is 0 outside the working set
+    after a step with d . (x_new - x) < 0 (the gradient restart of
+    O'Donoghue & Candes 2015). The iterate is 0 outside the working set
     W, which the penalty grows by its start's support and KKT violators
     (|gradient_j| > lambda), and the steps multiply only W's columns. The
     KKT residual is checked, by one product with A^T over all columns, when
@@ -300,9 +293,8 @@ def solve_lasso_path(A, y, lams, tol=1e-8, max_iter=50_000):
     fresh gradient at a FISTA iterate.
 
     Each penalty starts from the path's last converged solution: FISTA
-    begins at its x_hat with its image, its gradient and no momentum, and
-    the first step's cost is compared with the start's cost at this
-    lambda. Until a penalty has converged, each penalty starts at 0, with
+    begins at its x_hat with its image, its gradient and no momentum.
+    Until a penalty has converged, each penalty starts at 0, with
     the gradient A^T y that the path computes once. A penalty that did not
     converge passes nothing on.
 
@@ -318,14 +310,19 @@ def solve_lasso_path(A, y, lams, tol=1e-8, max_iter=50_000):
 
     Raises:
         ValueError: a penalty or tol not positive and finite, max_iter not
-            an integer of at least 1, or A read-only.
+            an integer of at least 1, A not a matrix with at least one row
+            and one column, y not of shape (n,), or A read-only.
     """
     lams = [positive_float(lam, "lambda") for lam in lams]
     positive_float(tol, "tol")
     integer_at_least(max_iter, 1, "max_iter")
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
+    if A.ndim != 2 or 0 in A.shape:
+        raise ValueError(f"A must be a matrix with a row and a column, not of shape {A.shape}")
     n, N = A.shape
+    if y.shape != (n,):
+        raise ValueError(f"y must have shape ({n},), an entry per row of A, not {y.shape}")
     front = _Front(A)
     # ||A||_F^2 is the sum of at most min(n, N) squared singular values; the
     # norm of a C-contiguous array reads a raveled view, so A is not copied
