@@ -37,9 +37,9 @@ _EXIT_FAILED_CELL = 3
 def _cmd_sweep(args, config):
     out_dir = args.out or config.out
     os.makedirs(out_dir, exist_ok=True)
-    records = run_sweep(config, seed_base=args.seed_base)
+    records, timings = run_sweep(config, seed_base=args.seed_base)
     csv_path = os.path.join(out_dir, "sweep.csv")
-    write_records_csv(records, csv_path,
+    write_records_csv(records, timings, csv_path,
                       sidecar_path=os.path.join(out_dir, "sweep.json"),
                       config=config)
     n_err = sum(1 for r in records if r.error)

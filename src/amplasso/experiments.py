@@ -4,12 +4,12 @@ A cell is one penalty on one random instance: solve it with the reference
 solver, run the message-passing iteration on it, and record both empirical
 risks next to the theoretical prediction and the iterations each solver ran.
 Cells are grouped by instance: each (N, seed) matrix is drawn once and every
-penalty of the grid runs on it, so a cell's wall_time_generate is its
-instance's draw, repeated on each of the instance's rows. Instances run one
-after another, each matrix product using every core through BLAS; the
-prediction (and with it AMP's threshold ratio) is computed once per lambda
-and shared. A lambda whose prediction raises makes all of its cells error
-rows, with no solve and no AMP row.
+penalty of the grid runs on it. Instances run one after another, each matrix
+product using every core through BLAS; the prediction (and with it AMP's
+threshold ratio) is computed once per lambda and shared. A lambda whose
+prediction raises makes all of its cells error rows, with no solve and no
+AMP row. Each instance's stage seconds are kept apart from its records, so
+the records are a function of the config and the seed base alone.
 
 On an instance the reference solves run as one penalty path
 (lasso.solve_lasso_path), from the largest penalty to the smallest: each
@@ -20,16 +20,14 @@ tolerance is an error row on its own (ConvergenceError), since its solution
 is not ground truth. An exception from the draw or from the path marks all
 of the instance's rows: once its inputs are valid, nothing in a path raises
 for one penalty alone, and a raise in the middle of a column move leaves
-A's column order unfit for the penalties after it. A cell's wall_time_lasso
-is the path's time, repeated on each of the instance's rows.
+A's column order unfit for the penalties after it.
 
 AMP then runs once per instance, at every penalty with a certified solution,
 as one stack (amp.run_amp_grid): one product pair per step for all of
-them. A cell's wall_time_amp is that stacked run's time, repeated on each of
-the instance's rows, and a row of the stack that raised marks only its own
-cell. AMP always starts at 0, so amp_lasso_gap never compares AMP with a
-solve that began at AMP's own point; its columns can depend on which other
-penalties share the stack, within rounding.
+them. A row of the stack that raised marks only its own cell. AMP always
+starts at 0, so amp_lasso_gap never compares AMP with a solve that began at
+AMP's own point; its columns can depend on which other penalties share the
+stack, within rounding.
 """
 
 from __future__ import annotations
@@ -179,9 +177,6 @@ class ExperimentRecord:
     # ints on a solved row, nan on an error row
     lasso_iterations: float = math.nan
     amp_iterations: float = math.nan
-    wall_time_generate: float = math.nan
-    wall_time_lasso: float = math.nan
-    wall_time_amp: float = math.nan
     error: str = ""
 
 
@@ -197,8 +192,7 @@ def _error_record(config, lam, N, seed, prediction, exc):
                             error=f"{type(exc).__name__}: {exc}", **predicted)
 
 
-def _record(config, inst, lam, prediction, sol, state,
-            wall_time_generate, wall_time_lasso, wall_time_amp):
+def _record(config, inst, lam, prediction, sol, state):
     """A solved cell: AMP's final `state` next to the certified solution `sol`."""
     return ExperimentRecord(
         lam=lam, N=inst.N, seed=inst.seed, ensemble=config.ensemble,
@@ -211,28 +205,27 @@ def _record(config, inst, lam, prediction, sol, state,
         kkt_residual=sol.kkt_residual,
         lasso_iterations=sol.iterations,
         amp_iterations=state.t,
-        wall_time_generate=wall_time_generate,
-        wall_time_lasso=wall_time_lasso,
-        wall_time_amp=wall_time_amp,
     )
 
 
 def _run_instance(config, N, seed, predictions):
     """Every penalty of `predictions` on the (N, seed) instance, one record
-    each (grouping, path, stack and failure rules: see the module docstring)."""
-    if not predictions:  # every prediction failed: nothing to draw the matrix for
-        return []
+    each (grouping, path, stack and failure rules: see the module docstring),
+    and the instance's timing: each stage's seconds, None for a stage that
+    raised or never ran."""
     lams = sorted(predictions, reverse=True)
+    timing = {"N": N, "seed": seed, "generate_s": None, "lasso_s": None, "amp_s": None}
     try:
         t0 = time.perf_counter()
         inst = generate(config.se_params, N, config.ensemble, seed)
         t1 = time.perf_counter()
+        timing["generate_s"] = t1 - t0
         path = solve_lasso_path(inst.A, inst.y, lams, tol=config.lasso_tol,
                                 max_iter=config.lasso_max_iter)
         t2 = time.perf_counter()
+        timing["lasso_s"] = t2 - t1
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        return [_error_record(config, lam, N, seed, predictions[lam], exc) for lam in lams]
-    wall_time_generate, wall_time_lasso = t1 - t0, t2 - t1
+        return [_error_record(config, lam, N, seed, predictions[lam], exc) for lam in lams], timing
     records = []
     solved = []  # (lam, certified solution), in path order
     for lam, sol in zip(lams, path):
@@ -249,22 +242,22 @@ def _run_instance(config, N, seed, predictions):
                                 threshold_policy=config.amp_policy)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         outcomes = [exc] * len(solved)
-    wall_time_amp = time.perf_counter() - t2
+    timing["amp_s"] = time.perf_counter() - t2
     for (lam, sol), outcome in zip(solved, outcomes):
         if isinstance(outcome, Exception):
             records.append(_error_record(config, lam, N, seed, predictions[lam], outcome))
         else:
-            records.append(_record(config, inst, lam, predictions[lam], sol, outcome[0],
-                                   wall_time_generate, wall_time_lasso, wall_time_amp))
-    return records
+            records.append(_record(config, inst, lam, predictions[lam], sol, outcome[0]))
+    return records, timing
 
 
 def run_sweep(config, seed_base=0):
     """All (lambda, N, seed) cells of the config; failures become error-tagged records.
 
-    Deterministic given (config, seed_base) apart from the wall times; the
-    result is sorted by (lambda, N, seed). A penalty whose prediction raises
-    makes every one of its cells an error row, with no solve and no AMP row.
+    Returns (records, timings): the records sorted by (lambda, N, seed), a
+    function of (config, seed_base), and one _run_instance timing per instance
+    drawn or tried, in run order. A penalty whose prediction raises makes
+    every one of its cells an error row, with no solve and no AMP row.
     """
     params = config.se_params
     predictions, records = {}, []
@@ -274,19 +267,25 @@ def run_sweep(config, seed_base=0):
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             records += [_error_record(config, lam, N, seed_base + seed, None, exc)
                         for N in config.N_list for seed in config.seeds]
-    records += [r for N in config.N_list for seed in config.seeds
-                for r in _run_instance(config, N, seed_base + seed, predictions)]
+    # one (records, timing) pair per instance; none if no penalty is left to draw for
+    runs = [_run_instance(config, N, seed_base + seed, predictions)
+            for N in config.N_list for seed in config.seeds if predictions]
+    records += [r for rows, _ in runs for r in rows]
     records.sort(key=lambda r: (r.lam, r.N, r.seed))
-    return records
+    return records, [timing for _, timing in runs]
 
 
-def write_records_csv(records, csv_path, sidecar_path, config):
+def write_records_csv(records, timings, csv_path, sidecar_path, config):
+    """run_sweep's output: the records as sweep.csv (a header of RECORD_COLUMNS,
+    then one row each), and a JSON sidecar with the package version, the
+    config, the record and error counts, and the per-instance timings."""
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
         writer.writerows(astuple(r) for r in records)
     sidecar = {"version": __version__, "config": config.to_json(),
-               "n_records": len(records), "n_errors": sum(1 for r in records if r.error)}
+               "n_records": len(records), "n_errors": sum(1 for r in records if r.error),
+               "timings": timings}
     with open(sidecar_path, "w") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")

@@ -37,6 +37,19 @@ def test_sweep_writes_csv_and_sidecar(tmp_path):
     assert side["n_errors"] == 0
 
 
+def test_sweep_csv_is_byte_identical_across_runs(tmp_path):
+    # the timings, which differ run to run, go to the sidecar, one per instance
+    cfg = small_config(tmp_path, seeds=[0, 1])
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--seed-base", "3"]) == 0
+    assert (runs[0] / "sweep.csv").read_bytes() == (runs[1] / "sweep.csv").read_bytes()
+    for out in runs:
+        timings = json.loads((out / "sweep.json").read_text())["timings"]
+        assert [(t["N"], t["seed"]) for t in timings] == [(120, 3), (120, 4)]
+        assert all(set(t) == {"N", "seed", "generate_s", "lasso_s", "amp_s"} for t in timings)
+
+
 def test_sweep_gnuplot_flag(tmp_path):
     cfg = small_config(tmp_path)
     out = tmp_path / "run"
@@ -224,9 +237,8 @@ def test_failed_cell_exit_code(tmp_path, monkeypatch):
         mse_amp=float("nan"), mse_predicted=float("nan"),
         amp_lasso_gap=float("nan"), l1_lasso=float("nan"),
         l1_predicted=float("nan"), kkt_residual=float("nan"),
-        wall_time_generate=0.0, wall_time_lasso=0.0, wall_time_amp=0.0,
         error="RuntimeError: boom")
-    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: [bad])
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: ([bad], []))
     cfg = small_config(tmp_path)
     out = tmp_path / "run"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 3

@@ -169,7 +169,7 @@ class TestConfig:
 
 class TestRunSweep:
     def test_records_sorted_and_consistent(self):
-        records = run_sweep(SMALL)
+        records, _ = run_sweep(SMALL)
         assert len(records) == 4
         keys = [(r.lam, r.N, r.seed) for r in records]
         assert keys == sorted(keys)
@@ -183,23 +183,16 @@ class TestRunSweep:
         assert all(len(v) == 1 for v in by_lam.values())
 
     def test_deterministic(self):
-        names = [f.name for f in fields(ExperimentRecord)
-                 if not f.name.startswith("wall_time_")]
-        assert len(names) == len(fields(ExperimentRecord)) - 3
-
-        def values(records):
-            return [[getattr(r, name) for name in names] for r in records]
-
-        assert values(run_sweep(SMALL)) == values(run_sweep(SMALL))
+        assert run_sweep(SMALL)[0] == run_sweep(SMALL)[0]
 
     def test_seed_base_shifts_cells(self):
-        plain = run_sweep(SMALL)
-        shifted = run_sweep(SMALL, seed_base=100)
+        plain, _ = run_sweep(SMALL)
+        shifted, _ = run_sweep(SMALL, seed_base=100)
         assert [r.seed for r in shifted] == [r.seed + 100 for r in plain]
         assert plain[0].mse_lasso != shifted[0].mse_lasso
 
     def test_unconverged_reference_solve_is_an_error_row(self):
-        records = run_sweep(replace(SMALL, lasso_max_iter=5))
+        records, _ = run_sweep(replace(SMALL, lasso_max_iter=5))
         assert len(records) == 4
         for r in records:
             assert r.error.startswith("ConvergenceError: ")
@@ -212,7 +205,7 @@ class TestRunSweep:
             return inst
 
         monkeypatch.setattr(exps, "generate", planted)
-        records = run_sweep(SMALL)
+        records, _ = run_sweep(SMALL)
         assert len(records) == 4
         for r in records:
             assert r.error.startswith(
@@ -229,20 +222,21 @@ class TestRunSweep:
                 raise RuntimeError("boom")
             return real(A, y, lams, **kw)
 
-        plain = run_sweep(SMALL)
+        plain, _ = run_sweep(SMALL)
         monkeypatch.setattr(exps, "solve_lasso_path", flaky)
-        records = run_sweep(SMALL)
+        records, timings = run_sweep(SMALL)
         assert paths == [[1.2, 0.6], [1.2, 0.6]]
         assert len(records) == 4
-        names = [f.name for f in fields(ExperimentRecord) if not f.name.startswith("wall_time_")]
         for p, r in zip(plain, records):
             if r.seed == 0:
                 assert r.error == "RuntimeError: boom"
-                assert np.isnan(r.mse_lasso) and np.isnan(r.wall_time_lasso)
+                assert np.isnan(r.mse_lasso)
                 assert np.isnan(r.lasso_iterations) and np.isnan(r.amp_iterations)
                 assert np.isfinite(r.mse_predicted)
             else:
-                assert [getattr(r, n) for n in names] == [getattr(p, n) for n in names]
+                assert r == p
+        t = timings[0]  # the failed path's draw was timed; its path and AMP stack were not
+        assert t["generate_s"] >= 0 and t["lasso_s"] is t["amp_s"] is None
 
     def test_unconverged_penalty_marks_only_its_rows(self, monkeypatch):
         # the largest penalty stops after one step; the next one starts at 0
@@ -252,7 +246,7 @@ class TestRunSweep:
             return real(front, y, lam, tol, 1 if lam == 1.2 else max_iter, *args)
 
         monkeypatch.setattr(amplasso.lasso, "_solve_penalty", capped)
-        records = run_sweep(SMALL)
+        records, _ = run_sweep(SMALL)
         assert len(records) == 4
         for r in records:
             if r.lam == 1.2:
@@ -276,11 +270,10 @@ class TestRunSweep:
             out[rows] = pre[rows] - 2.0 * theta[rows]
             return out
 
-        plain = run_sweep(SMALL)
+        plain, _ = run_sweep(SMALL)
         monkeypatch.setattr(amplasso.amp, "soft_threshold", failing)
-        forced = run_sweep(SMALL)
-        names = [f.name for f in fields(ExperimentRecord)
-                 if not f.name.startswith("wall_time_") and f.name not in AMP_ERRORS]
+        forced, _ = run_sweep(SMALL)
+        names = [f.name for f in fields(ExperimentRecord) if f.name not in AMP_ERRORS]
         for p, f in zip(plain, forced):
             if (f.lam, f.seed) == (0.6, 0):
                 assert f.error == "ConsistencyError: subgradient entry exceeds 1 by 1.000e+00"
@@ -301,27 +294,23 @@ class TestRunSweep:
         monkeypatch.setattr(exps, "solve_lasso_path", spy)
         monkeypatch.setattr(exps, "generate", lambda *args: drawn.append(args) or
                             amplasso.instances.generate(*args))
-        assert all(r.error for r in run_sweep(replace(SMALL, lambda_grid=(1e7,))))
-        assert drawn == []  # no penalty left to run, so no instance is drawn
-        records = run_sweep(replace(SMALL, lambda_grid=(0.6, 1e7)))
+        records, timings = run_sweep(replace(SMALL, lambda_grid=(1e7,)))
+        assert all(r.error for r in records)
+        assert drawn == [] and timings == []  # no penalty left to run, so no instance is drawn
+        records, _ = run_sweep(replace(SMALL, lambda_grid=(0.6, 1e7)))
         assert [(r.lam, r.seed) for r in records] == [(0.6, 0), (0.6, 1), (1e7, 0), (1e7, 1)]
         for r in records[2:]:
             assert r.error.startswith("ConvergenceError: no alpha")
             assert np.isnan(r.mse_predicted) and np.isnan(r.mse_lasso) and np.isnan(r.mse_amp)
             assert np.isnan(r.lasso_iterations) and np.isnan(r.amp_iterations)
         assert solved == [[0.6], [0.6]]  # no solve, and so no AMP row, at the failed penalty
-        names = [f.name for f in fields(ExperimentRecord) if not f.name.startswith("wall_time_")]
-        alone = run_sweep(replace(SMALL, lambda_grid=(0.6,)))
-        assert [[getattr(r, n) for n in names] for r in records[:2]] == \
-            [[getattr(r, n) for n in names] for r in alone]
+        assert records[:2] == run_sweep(replace(SMALL, lambda_grid=(0.6,)))[0]
 
     def test_grid_order_does_not_change_rows(self):
-        names = [f.name for f in fields(ExperimentRecord) if not f.name.startswith("wall_time_")]
-
         def values(grid):
-            records = run_sweep(replace(SMALL, lambda_grid=grid))
+            records, _ = run_sweep(replace(SMALL, lambda_grid=grid))
             assert all(r.error == "" for r in records)
-            return [[getattr(r, name) for name in names] for r in records]
+            return records
 
         ascending = values((0.6, 0.9, 1.2))
         assert values((1.2, 0.9, 0.6)) == ascending
@@ -339,19 +328,16 @@ class TestRunSweep:
         monkeypatch.setattr(exps, "generate", counted("generate", exps.generate))
         monkeypatch.setattr(amplasso.amp, "invert_calibration",
                             counted("invert_calibration", amplasso.amp.invert_calibration))
-        records = run_sweep(replace(SMALL, N_list=(120, 150)))
+        records, timings = run_sweep(replace(SMALL, N_list=(120, 150)))
         assert len(records) == 8 and all(r.error == "" for r in records)
         # 2 sizes x 2 seeds; the solver sizes its own step, and AMP takes
         # alpha from the shared prediction
         assert calls == {"generate": 4, "invert_calibration": 0}
         # each instance's draw, penalty path and stacked AMP run are shared by
-        # all of its penalties
-        for N in (120, 150):
-            for seed in SMALL.seeds:
-                rows = [r for r in records if r.N == N and r.seed == seed]
-                assert len({r.wall_time_generate for r in rows}) == 1
-                assert len({r.wall_time_lasso for r in rows}) == 1
-                assert len({r.wall_time_amp for r in rows}) == 1
+        # all of its penalties, and timed once, in run order
+        assert [(t["N"], t["seed"]) for t in timings] == [(120, 0), (120, 1), (150, 0), (150, 1)]
+        for t in timings:
+            assert t["generate_s"] >= 0 and t["lasso_s"] >= 0 and t["amp_s"] >= 0
 
     def test_instance_failure_marks_only_its_rows(self, monkeypatch):
         real = exps.generate
@@ -362,14 +348,15 @@ class TestRunSweep:
             return real(params, N, ensemble, seed)
 
         monkeypatch.setattr(exps, "generate", flaky)
-        records = run_sweep(SMALL)
+        records, timings = run_sweep(SMALL)
         assert len(records) == 4
         keys = [(r.lam, r.N, r.seed) for r in records]
         assert keys == sorted(keys)
+        assert timings[1] == dict(N=120, seed=1, generate_s=None, lasso_s=None, amp_s=None)
         for r in records:
             if r.seed == 1:
                 assert r.error == "RuntimeError: no draw"
-                assert np.isnan(r.mse_lasso) and np.isnan(r.wall_time_generate)
+                assert np.isnan(r.mse_lasso)
                 assert np.isnan(r.lasso_iterations) and np.isnan(r.amp_iterations)
                 assert np.isfinite(r.mse_predicted)
             else:
@@ -381,20 +368,19 @@ class TestRunSweep:
 
 class TestCsvOutput:
     def test_csv_and_sidecar(self, tmp_path):
-        records = run_sweep(SMALL)
+        records, timings = run_sweep(SMALL)
         csv_path = tmp_path / "sweep.csv"
         side_path = tmp_path / "sweep.json"
-        write_records_csv(records, csv_path, sidecar_path=side_path, config=SMALL)
+        write_records_csv(records, timings, csv_path, sidecar_path=side_path, config=SMALL)
         with open(csv_path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["lambda", "N", "seed", "ensemble", "mse_lasso", "mse_amp",
                            "mse_predicted", "amp_lasso_gap", "l1_lasso", "l1_predicted",
-                           "kkt_residual", "lasso_iterations", "amp_iterations",
-                           "wall_time_generate", "wall_time_lasso",
-                           "wall_time_amp", "error"]
+                           "kkt_residual", "lasso_iterations", "amp_iterations", "error"]
         assert len(rows) == 1 + len(records)
         side = json.loads(side_path.read_text())
         assert side["n_records"] == 4 and side["n_errors"] == 0
+        assert side["timings"] == timings
         assert side["config"]["delta"] == 0.64
         assert side["version"]
 

